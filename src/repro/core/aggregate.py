@@ -44,8 +44,10 @@ import numpy as np
 from repro.core import model
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
+from repro.core.projection import group_rows
 from repro.core.solution import Solution
 from repro.errors import ValidationError
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["ClassStructure", "AggregatedProblem", "aggregate_problem",
            "solve_aggregated"]
@@ -79,26 +81,22 @@ class ClassStructure:
         """Group rows of ``mask`` by identical pattern (first-occurrence
         order) and accumulate ``demands`` per group."""
         M = np.asarray(mask, dtype=bool)
-        R = np.asarray(demands, dtype=float)
+        R = np.array(demands, dtype=float)
         if M.ndim != 2 or R.shape != (M.shape[0],):
             raise ValidationError("mask must be (C, N) with one demand per row")
         if M.shape[0] == 0:
             raise ValidationError("need at least one client")
-        patterns, first, inverse = np.unique(
-            M, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(order.size, dtype=int)
-        rank[order] = np.arange(order.size)
-        class_of_client = rank[inverse]
+        first, class_of_client = group_rows(M)
         class_demand = np.bincount(class_of_client, weights=R,
-                                   minlength=order.size)
-        denom = class_demand[class_of_client]
-        weights = np.divide(R, denom, out=np.zeros_like(R),
-                            where=denom > 0.0)
-        return cls(class_of_client=class_of_client, masks=patterns[order],
-                   demands=class_demand, client_demands=R.copy(),
-                   weights=weights)
+                                   minlength=first.size)
+        # One (C,) buffer: gather each client's class demand, divide in
+        # place.  A demand-free class divides by inf, so its members get
+        # weight 0 without a masked write.
+        weights = np.take(np.where(class_demand > 0.0, class_demand, np.inf),
+                          class_of_client)
+        np.divide(R, weights, out=weights)
+        return cls(class_of_client=class_of_client, masks=M[first],
+                   demands=class_demand, client_demands=R, weights=weights)
 
     # -- views ---------------------------------------------------------------
     @property
@@ -171,7 +169,9 @@ class ClassStructure:
         Q = np.asarray(reduced, dtype=float)
         if Q.shape != (self.n_classes, self.n_replicas):
             raise ValidationError("reduced allocation shape mismatch")
-        return Q[self.class_of_client] * self.weights[:, None]
+        P = np.take(Q, self.class_of_client, axis=0)
+        P *= self.weights[:, None]
+        return P
 
     def expand_mu(self, reduced_mu: np.ndarray) -> np.ndarray:
         """Broadcast per-class LDDM multipliers to the member clients.
@@ -225,17 +225,27 @@ class AggregatedProblem:
         )
 
 
-def aggregate_problem(problem: ReplicaSelectionProblem) -> AggregatedProblem:
-    """Build the class structure and reduced instance for ``problem``."""
-    structure = ClassStructure.from_mask(problem.data.mask, problem.data.R)
-    reduced = ReplicaSelectionProblem(structure.reduce_data(problem.data))
+def aggregate_problem(problem: ReplicaSelectionProblem, *,
+                      recorder: Recorder | None = None) -> AggregatedProblem:
+    """Build the class structure and reduced instance for ``problem``.
+
+    ``recorder`` times the two steps as ``aggregate.group`` and
+    ``aggregate.reduce`` spans.
+    """
+    rec = recorder if recorder is not None else NULL_RECORDER
+    with rec.span("aggregate.group"):
+        structure = ClassStructure.from_mask(problem.data.mask,
+                                             problem.data.R)
+    with rec.span("aggregate.reduce"):
+        reduced = ReplicaSelectionProblem(structure.reduce_data(problem.data))
     return AggregatedProblem(original=problem, problem=reduced,
                              structure=structure)
 
 
 def solve_aggregated(problem: ReplicaSelectionProblem, method: str = "lddm",
                      *, initial: np.ndarray | None = None,
-                     mu0: np.ndarray | None = None, **kwargs) -> Solution:
+                     mu0: np.ndarray | None = None,
+                     recorder: Recorder | None = None, **kwargs) -> Solution:
     """Solve ``problem`` in class space and disaggregate exactly.
 
     ``method`` is ``"lddm"`` or ``"cdpsm"``; ``kwargs`` go to the solver.
@@ -244,6 +254,8 @@ def solve_aggregated(problem: ReplicaSelectionProblem, method: str = "lddm",
     per-iteration cost is O(K*N) regardless of the client count.  The
     returned solution's ``solve_time_s`` covers the whole call
     (reduction + solve + expansion) and ``n_classes`` reports K.
+    ``recorder`` goes to the solver and also times the four stages as
+    ``aggregate.group`` / ``.reduce`` / ``.solve`` / ``.expand`` spans.
     """
     from time import perf_counter
 
@@ -255,13 +267,16 @@ def solve_aggregated(problem: ReplicaSelectionProblem, method: str = "lddm",
         raise ValidationError(f"unknown aggregated solver {method!r}")
     if mu0 is not None and method != "lddm":
         raise ValidationError("mu0 applies to the lddm solver only")
+    rec = recorder if recorder is not None else NULL_RECORDER
     t0 = perf_counter()
-    agg = aggregate_problem(problem)
-    solver = solvers[method](agg.problem, **kwargs)
-    if method == "lddm":
-        reduced_solution = solver.solve(initial, mu0=mu0)
-    else:
-        reduced_solution = solver.solve(initial)
-    solution = agg.expand_solution(reduced_solution)
+    agg = aggregate_problem(problem, recorder=rec)
+    with rec.span("aggregate.solve"):
+        solver = solvers[method](agg.problem, recorder=rec, **kwargs)
+        if method == "lddm":
+            reduced_solution = solver.solve(initial, mu0=mu0)
+        else:
+            reduced_solution = solver.solve(initial)
+    with rec.span("aggregate.expand"):
+        solution = agg.expand_solution(reduced_solution)
     solution.solve_time_s = perf_counter() - t0
     return solution

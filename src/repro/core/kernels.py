@@ -181,14 +181,6 @@ def cdpsm_gradient_step(data: ProblemData, V: np.ndarray,
 
 # -- LDDM column subproblems --------------------------------------------------
 
-def _marginal_cols(data: ProblemData, s: np.ndarray) -> np.ndarray:
-    """Vector form of ``subproblem._marginal`` over all replica columns."""
-    base = np.where(s > 0.0, s, 1.0)
-    powered = np.where(data.gamma == 1.0, 1.0,
-                       np.where(s > 0.0, base ** (data.gamma - 1.0), 0.0))
-    return data.u * (data.alpha + data.beta * data.gamma * powered)
-
-
 def _exact_columns(data: ProblemData, mu: np.ndarray) -> np.ndarray:
     """All replicas' eps=0 closed-form subproblems (paper problem (5))."""
     mask = data.mask
@@ -211,6 +203,27 @@ def _exact_columns(data: ProblemData, mu: np.ndarray) -> np.ndarray:
     return np.where(ties, (s_star / counts)[None, :], 0.0)
 
 
+def _bisect_columns(excess, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per-column bisection of a decreasing ``excess`` over ``[0, hi]``.
+
+    Every column follows the scalar midpoint sequence; one whose bracket
+    is inside ``tol`` is frozen (the ``where=`` writes skip it) exactly
+    where the scalar loop breaks.
+    """
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
+    act = np.ones(hi.size, dtype=bool)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        up = act & (excess(mid) > 0)
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=act ^ up)
+        act &= (hi - lo) >= tol
+        if not act.any():
+            break
+    return 0.5 * (lo + hi)
+
+
 def _proximal_columns(data: ProblemData, mu: np.ndarray, prev: np.ndarray,
                       epsilon: float) -> np.ndarray:
     """All replicas' proximal subproblems in one KKT/bisection pass.
@@ -220,93 +233,87 @@ def _proximal_columns(data: ProblemData, mu: np.ndarray, prev: np.ndarray,
     capacity multiplier ``nu`` for the columns whose cap binds.  Each
     column follows the scalar midpoint sequence and freezes at the scalar
     stopping rule.
+
+    Whatever does not depend on the bisection variable is computed once
+    per call, not once per step: the cost constants and the column
+    blocks of ``ref``/``mu`` (no gather at all while every column is in
+    play, the usual case).  Masked entries carry ``mu = +inf``, so
+    ``max(0, ref - (mu + t) / eps)`` is exactly 0 there without a
+    per-step mask pass.
     """
     mask = data.mask
-    B = data.B
+    N = data.n_replicas
+    linear = data.gamma == 1.0
+    any_linear = bool(linear.any())
+    gm1 = data.gamma - 1.0
+    bg = data.beta * data.gamma
     ref = np.where(mask, np.asarray(prev, dtype=float), 0.0)
+    mu_inf = np.where(mask, mu[:, None], np.inf)
 
-    def p_of_t(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        raw = ref[:, cols] - (mu[:, None] + t[None, :]) / epsilon
-        return np.where(mask[:, cols], np.maximum(0.0, raw), 0.0)
+    def block(cols: np.ndarray):
+        """``(marginal, p_of_t)`` over the columns ``cols``."""
+        def take(a: np.ndarray) -> np.ndarray:
+            return a if cols.size == N else np.take(a, cols, axis=-1)
 
-    def s_of_t(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return p_of_t(t, cols).sum(axis=0)
+        u, alpha, bg_c, gm1_c = (take(data.u), take(data.alpha), take(bg),
+                                 take(gm1))
+        linear_c, ref_c, mu_c = take(linear), take(ref), take(mu_inf)
 
-    marg0 = _marginal_cols(data, np.zeros(data.n_replicas))
-    s_hi = s_of_t(marg0, np.arange(data.n_replicas))
+        def marginal(s: np.ndarray) -> np.ndarray:
+            # s >= 0 and gamma >= 1: 0 ** (gamma - 1) already is the
+            # scalar code's 0 (1 on a linear column) for an idle column.
+            powered = s ** gm1_c
+            if any_linear:
+                powered = np.where(linear_c, 1.0, powered)
+            return u * (alpha + bg_c * powered)
+
+        def p_of_t(t: np.ndarray) -> np.ndarray:
+            return np.maximum(0.0, ref_c - (mu_c + t) / epsilon)
+
+        return marginal, p_of_t
+
+    marginal, p_of_t = block(np.arange(N))
+    s_hi = p_of_t(marginal(np.zeros(N))).sum(axis=0)
     out = np.zeros(data.shape)
     live = mask.any(axis=0) & (s_hi > 0.0)
     if not live.any():
         return out
     cols = np.nonzero(live)[0]
+    if cols.size < N:
+        marginal, p_of_t = block(cols)
+        s_hi = s_hi[cols]
 
     # Phase 1: capacity ignored — bisect g(s) = S(t(s)) - s per column.
-    lo = np.zeros(cols.size)
-    hi = s_hi[cols].copy()
-    tol_s = _BISECT_TOL * np.maximum(1.0, s_hi[cols])
-    act = np.ones(cols.size, dtype=bool)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        sub = np.nonzero(act)[0]
-        gval = s_of_t(_marginal_cols(data, _scatter(mid, cols, data))[cols],
-                      cols)[sub] - mid[sub]
-        pos = gval > 0
-        lo[sub[pos]] = mid[sub[pos]]
-        hi[sub[~pos]] = mid[sub[~pos]]
-        act[sub] = (hi[sub] - lo[sub]) >= tol_s[sub]
-        if not act.any():
-            break
-    s_star = 0.5 * (lo + hi)
+    s_star = _bisect_columns(lambda s: p_of_t(marginal(s)).sum(axis=0) - s,
+                             s_hi, _BISECT_TOL * np.maximum(1.0, s_hi))
 
-    free = s_star <= B[cols] + 1e-12
+    free = s_star <= data.B[cols] + 1e-12
     if free.any():
-        f_cols = cols[free]
-        t_free = _marginal_cols(data, _scatter(s_star[free], f_cols, data))
-        out[:, f_cols] = p_of_t(t_free[f_cols], f_cols)
+        out[:, cols[free]] = p_of_t(marginal(s_star))[:, free]
 
     # Phase 2: capacity binds — s = B, bisect h(nu) = S(t(B) + nu) - B.
-    bound = ~free
-    if bound.any():
-        b_cols = cols[bound]
-        t_base = _marginal_cols(data, B)[b_cols]
+    if not free.all():
+        b_cols = cols[~free]
+        B = data.B[b_cols]
+        marginal, p_of_t = block(b_cols)
+        t_base = marginal(B)
 
         def h_of(nu: np.ndarray) -> np.ndarray:
-            return s_of_t(t_base + nu, b_cols) - B[b_cols]
+            return p_of_t(t_base + nu).sum(axis=0) - B
 
         nu_hi = np.ones(b_cols.size)
         growing = h_of(nu_hi) > 0
         while growing.any():
             nu_hi[growing] *= 2.0
             growing = growing & (nu_hi <= 1e18) & (h_of(nu_hi) > 0)
-        lo = np.zeros(b_cols.size)
-        hi = nu_hi.copy()
-        tol_nu = _BISECT_TOL * np.maximum(1.0, nu_hi)
-        act = np.ones(b_cols.size, dtype=bool)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            sub = np.nonzero(act)[0]
-            hval = h_of(mid)[sub]
-            pos = hval > 0
-            lo[sub[pos]] = mid[sub[pos]]
-            hi[sub[~pos]] = mid[sub[~pos]]
-            act[sub] = (hi[sub] - lo[sub]) >= tol_nu[sub]
-            if not act.any():
-                break
-        nu = 0.5 * (lo + hi)
-        p = p_of_t(t_base + nu, b_cols)
+        nu = _bisect_columns(h_of, nu_hi,
+                             _BISECT_TOL * np.maximum(1.0, nu_hi))
+        p = p_of_t(t_base + nu)
         total = p.sum(axis=0)
-        rescale = np.where(total > 0, B[b_cols] / np.where(total > 0, total,
-                                                           1.0), 1.0)
+        rescale = np.where(total > 0, B / np.where(total > 0, total, 1.0),
+                           1.0)
         out[:, b_cols] = p * rescale[None, :]
     return out
-
-
-def _scatter(vals: np.ndarray, cols: np.ndarray,
-             data: ProblemData) -> np.ndarray:
-    """Place per-column values back into a full (N,) vector (zeros else)."""
-    full = np.zeros(data.n_replicas)
-    full[cols] = vals
-    return full
 
 
 def lddm_solve_columns(data: ProblemData, mu: np.ndarray, prev: np.ndarray,

@@ -13,6 +13,7 @@ import networkx as nx
 
 from repro.core import model
 from repro.core.params import ProblemData
+from repro.core.projection import group_rows
 from repro.errors import InfeasibleProblemError, ValidationError
 
 __all__ = ["ReplicaSelectionProblem"]
@@ -41,9 +42,10 @@ class ReplicaSelectionProblem:
         """
         data = self.data
         orphans = np.nonzero((data.R > 0) & ~data.mask.any(axis=1))[0].tolist()
-        patterns, inverse = np.unique(data.mask, axis=0, return_inverse=True)
-        class_demand = np.bincount(inverse.reshape(-1), weights=data.R,
-                                   minlength=patterns.shape[0])
+        first, inverse = group_rows(data.mask)
+        patterns = data.mask[first]
+        class_demand = np.bincount(inverse, weights=data.R,
+                                   minlength=first.size)
         g = nx.DiGraph()
         for k in range(patterns.shape[0]):
             g.add_edge("source", ("class", k),

@@ -9,6 +9,8 @@
   replica's CDPSM local constraint set ``P_n`` (demand rows intersected
   with that replica's capacity column); this realizes the paper's
   ``Proj_{P_n}[.]^+`` operator.
+* :func:`group_rows` — the repo's one row-grouping routine: identical
+  rows of a boolean mask found by sorting a packed integer key.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from repro.errors import ValidationError
 
 __all__ = ["project_simplex", "project_capped_simplex", "project_demands",
-           "project_local_set", "support_groups"]
+           "project_local_set", "group_rows", "support_groups"]
 
 
 def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -83,18 +85,66 @@ def _project_rows_vectorized(P: np.ndarray, R: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a (C, N) boolean mask by identical pattern.
+
+    Returns ``(first, inverse)``: ``first[g]`` is the index of the first
+    row showing group ``g``'s pattern and is strictly increasing (groups
+    are numbered in order of first occurrence), ``inverse[c]`` is row
+    ``c``'s group — so ``mask[first][inverse]`` reproduces ``mask``.
+
+    Each row is packed into one integer key (``np.packbits``, viewed as
+    the narrowest unsigned dtype that holds N bits) and the 1-D keys are
+    stably sorted — a radix sort up to 16 replicas, a merge sort up to
+    64; wider masks pack into uint64 words and ``lexsort``.  Every other
+    step is one O(C) pass.
+    """
+    M = np.asarray(mask, dtype=bool)
+    if M.ndim != 2:
+        raise ValidationError("group_rows expects a (C, N) mask")
+    C = M.shape[0]
+    packed = np.ascontiguousarray(np.packbits(M, axis=1))
+    nbytes = packed.shape[1]
+    width = next(w for w in (1, 2, 4, 8 * -(-nbytes // 8)) if nbytes <= w)
+    if width != nbytes:
+        padded = np.zeros((C, width), dtype=np.uint8)
+        padded[:, :nbytes] = packed
+        packed = padded
+    words = packed.view(f"u{min(width, 8)}")
+    if words.shape[1] == 1:
+        keys = words[:, 0]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        change = keys[1:] != keys[:-1]
+    else:
+        order = np.lexsort(words.T)
+        words = words[order]
+        change = (words[1:] != words[:-1]).any(axis=1)
+    # The sort is stable, so the row opening each run of equal keys is
+    # that pattern's first occurrence; renumber the runs by it.
+    opens = np.ones(C, dtype=bool)
+    opens[1:] = change
+    first = order[opens]
+    by_first = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[by_first] = np.arange(first.size)
+    inverse = np.empty(C, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(opens) - 1]
+    return first[by_first], inverse
+
+
 def support_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Group the rows of a boolean mask by identical support pattern.
 
-    Returns ``(rows, cols)`` index pairs — one per distinct pattern —
-    so masked row-wise operations can run vectorized per group instead
-    of per row.  All-false patterns are included (callers decide whether
-    an empty support is an error).
+    Returns ``(rows, cols)`` index pairs — one per distinct pattern, in
+    order of first occurrence — so masked row-wise operations can run
+    vectorized per group instead of per row.  All-false patterns are
+    included (callers decide whether an empty support is an error).
     """
     M = np.asarray(mask, dtype=bool)
-    patterns, inverse = np.unique(M, axis=0, return_inverse=True)
-    return [(np.nonzero(inverse == g)[0], np.nonzero(patterns[g])[0])
-            for g in range(patterns.shape[0])]
+    first, inverse = group_rows(M)
+    return [(np.nonzero(inverse == g)[0], np.nonzero(M[row])[0])
+            for g, row in enumerate(first)]
 
 
 def _check_demand_shapes(P: np.ndarray, R: np.ndarray, M: np.ndarray) -> None:

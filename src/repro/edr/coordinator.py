@@ -960,19 +960,24 @@ def solve_sharded(problem, n_shards: int = 4, *, mode: str = "serial",
     the class rows back to a client-space :class:`Solution`.  With
     ``n_shards=1`` the plane degenerates and this delegates *literally*
     to :func:`repro.core.aggregate.solve_aggregated` — bit-identical to
-    the monolithic aggregated solve by construction.
+    the monolithic aggregated solve by construction.  Either way
+    ``recorder`` times the stages as ``aggregate.group`` / ``.reduce`` /
+    ``.solve`` / ``.expand`` spans.
     """
     cfg = config if config is not None \
         else ShardingConfig(n_shards=n_shards, mode=mode)
     if cfg.n_shards == 1:
-        return solve_aggregated(problem, "lddm")
+        return solve_aggregated(problem, "lddm", recorder=recorder)
+    rec = recorder if recorder is not None else NULL_RECORDER
     t0 = perf_counter()
-    agg = aggregate_problem(problem)
-    with ShardCoordinator(agg.problem.data, list(agg.structure.keys),
-                          cfg, recorder=recorder) as coord:
+    agg = aggregate_problem(problem, recorder=rec)
+    with rec.span("aggregate.solve"), \
+            ShardCoordinator(agg.problem.data, list(agg.structure.keys),
+                             cfg, recorder=rec) as coord:
         res = coord.solve()
         rows = coord.rows_for(list(agg.structure.keys))
-    P = agg.structure.expand_rows(rows)
+    with rec.span("aggregate.expand"):
+        P = agg.structure.expand_rows(rows)
     return Solution(
         allocation=P,
         objective=model.total_energy(problem.data, P),

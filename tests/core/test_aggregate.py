@@ -29,11 +29,13 @@ from repro.core.cdpsm import solve_cdpsm
 from repro.core.lddm import solve_lddm
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
+from repro.core.projection import group_rows, support_groups
 from repro.core.reference import solve_reference
 from repro.errors import ValidationError
 from repro.util.rng import make_rng
 
 from tests.core.conftest import random_instance
+from tests.oracles.aggregate import from_mask_unique, group_rows_unique
 
 
 def _class_instance(seed: int, n_clients: int, n_patterns: int = 3,
@@ -110,6 +112,129 @@ class TestClassStructure:
             s.expand_mu(np.zeros(3))
         with pytest.raises(ValidationError):
             ClassStructure.from_mask(np.ones((0, 2), dtype=bool), np.ones(0))
+
+
+#: Replica counts straddling every packed-key width: one byte (1, 7, 8),
+#: two (9), the uint64 edge (63, 64) and the multi-word lexsort path
+#: (65, 130).
+KEY_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 130]
+
+#: The same (C, N) pattern handed over in layouts ``from_mask`` must not
+#: care about.
+LAYOUTS = {
+    "c_order": lambda m: m,
+    "fortran": np.asfortranarray,
+    "strided": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2,
+                                                                      ::3],
+    "int_typed": lambda m: m.astype(np.int64) * 7,
+}
+
+
+def _assert_matches_unique_oracle(mask, demands):
+    got = ClassStructure.from_mask(mask, demands)
+    want = from_mask_unique(mask, demands)
+    for name, expected in want.items():
+        field = getattr(got, name)
+        assert np.array_equal(field, expected), name
+        assert field.dtype == expected.dtype, name
+    assert got.keys == tuple(row.tobytes() for row in want["masks"])
+    return got
+
+
+class TestPackedKeyGrouping:
+    """``from_mask`` on packed integer keys vs the ``np.unique(axis=0)``
+    oracle it replaced: ``array_equal`` on every field, not a tolerance."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(KEY_WIDTHS),
+           st.integers(1, 60), st.sampled_from(sorted(LAYOUTS)))
+    def test_property_fields_equal_unique_oracle(self, seed, n_replicas,
+                                                 n_clients, layout):
+        rng = np.random.default_rng(seed)
+        n_patterns = int(rng.integers(1, n_clients + 1))
+        patterns = rng.random((n_patterns, n_replicas)) < rng.uniform(0.1, 0.9)
+        if rng.random() < 0.5:
+            patterns[0] = False          # an all-false (orphan) class
+        mask = patterns[rng.integers(0, n_patterns, size=n_clients)]
+        demands = rng.uniform(0.0, 9.0, size=n_clients)
+        demands[rng.random(n_clients) < 0.3] = 0.0
+        s = _assert_matches_unique_oracle(LAYOUTS[layout](mask), demands)
+        first, inverse = group_rows(mask)
+        want_first, want_inverse = group_rows_unique(mask)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(mask[first][inverse], mask)
+        assert s.n_classes == first.size
+
+    @pytest.mark.parametrize("n_replicas", KEY_WIDTHS)
+    def test_identity_passthrough_when_every_row_is_distinct(self,
+                                                             n_replicas):
+        # K == C: rows differ in one bit each, reversed so the sorted key
+        # order is the opposite of the first-occurrence order.
+        C = min(n_replicas, 40)
+        mask = np.zeros((C, n_replicas), dtype=bool)
+        mask[np.arange(C), n_replicas - 1 - np.arange(C)] = True
+        s = _assert_matches_unique_oracle(mask, np.arange(1.0, C + 1))
+        assert np.array_equal(s.class_of_client, np.arange(C))
+        assert np.array_equal(s.masks, mask)
+        assert np.array_equal(s.weights, np.ones(C))
+
+    @pytest.mark.parametrize("n_replicas", KEY_WIDTHS)
+    def test_single_client_and_single_class(self, n_replicas):
+        row = np.arange(n_replicas) % 3 == 0
+        _assert_matches_unique_oracle(row[None, :], np.array([4.0]))
+        s = _assert_matches_unique_oracle(np.tile(row, (9, 1)),
+                                          np.arange(9.0))
+        assert s.n_classes == 1
+        assert s.weights.sum() == pytest.approx(1.0)
+
+    def test_all_false_rows_form_one_class(self):
+        mask = np.zeros((5, 70), dtype=bool)
+        mask[2, 69] = True
+        s = _assert_matches_unique_oracle(mask, np.ones(5))
+        assert s.class_of_client.tolist() == [0, 0, 1, 0, 0]
+
+    def test_demands_are_copied_not_aliased(self):
+        demands = np.array([1.0, 2.0, 3.0])
+        s = ClassStructure.from_mask(np.ones((3, 2), dtype=bool), demands)
+        demands[:] = 0.0
+        assert s.client_demands.tolist() == [1.0, 2.0, 3.0]
+
+    def test_support_groups_partition_rows_by_pattern(self):
+        rng = np.random.default_rng(4)
+        patterns = rng.random((5, 11)) < 0.5
+        patterns[3] = False
+        mask = patterns[rng.integers(0, 5, size=80)]
+        groups = support_groups(mask)
+        rows = np.concatenate([r for r, _ in groups])
+        assert sorted(rows.tolist()) == list(range(80))
+        for r, cols in groups:
+            assert np.array_equal(mask[r], np.tile(mask[r[0]], (r.size, 1)))
+            assert np.array_equal(cols, np.nonzero(mask[r[0]])[0])
+        # Explicitly sorted, the groups are np.unique's.
+        want = np.unique(mask, axis=0)
+        got = np.array(sorted(tuple(mask[r[0]]) for r, _ in groups))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(KEY_WIDTHS),
+           st.integers(1, 40))
+    def test_property_expand_rows_equals_gather_times_weights(
+            self, seed, n_replicas, n_clients):
+        rng = np.random.default_rng(seed)
+        n_patterns = int(rng.integers(1, 6))
+        patterns = rng.random((n_patterns, n_replicas)) < 0.5
+        which = rng.integers(0, n_patterns, size=n_clients)
+        demands = rng.uniform(0.5, 9.0, size=n_clients)
+        demands[which == 0] = 0.0        # a whole zero-demand class
+        s = ClassStructure.from_mask(patterns[which], demands)
+        Q = rng.uniform(-1.0, 50.0, size=(s.n_classes, n_replicas))
+        P = s.expand_rows(Q)
+        assert np.array_equal(
+            P, Q[s.class_of_client] * s.weights[:, None])
+        assert P.flags["C_CONTIGUOUS"] and P.dtype == np.float64
+        assert np.all(P[which == 0] == 0.0)
+        assert not np.shares_memory(P, Q)
 
 
 class TestDegenerateStructures:

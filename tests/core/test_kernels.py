@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import kernels
 from repro.core.cdpsm import CdpsmSolver
 from repro.core.lddm import LddmSolver
+from repro.core.params import ProblemData
+from repro.core.problem import ReplicaSelectionProblem
 from repro.core.projection import (
     _project_demands_reference,
     project_capped_simplex,
@@ -21,6 +23,7 @@ from repro.core.projection import (
 from repro.core.subproblem import ReplicaSubproblem, solve_replica_subproblem
 from repro.errors import ValidationError
 from tests.core.conftest import random_instance
+from tests.oracles.kernels import _proximal_columns as proximal_columns_oracle
 
 ORACLE_ATOL = 1e-9
 
@@ -152,6 +155,90 @@ class TestLddmColumns:
         with pytest.raises(ValidationError):
             kernels.lddm_solve_columns(
                 data, np.zeros(data.n_clients), prev, -1.0)
+
+
+class TestProximalColumnTrajectory:
+    """The hoisted column kernel against the pre-change kernel kept
+    verbatim in ``tests/oracles``: every ``(mu, prev)`` a full LDDM solve
+    feeds it must come back ``array_equal`` — same midpoints, same
+    stopping rule, same summation order — not merely within 1e-9."""
+
+    @staticmethod
+    def _recorded_solve(monkeypatch, problem, **kw):
+        calls = []
+        real = kernels._proximal_columns
+
+        def spy(data, mu, prev, epsilon):
+            calls.append((data, mu.copy(), np.array(prev), epsilon))
+            return real(data, mu, prev, epsilon)
+
+        monkeypatch.setattr(kernels, "_proximal_columns", spy)
+        solution = LddmSolver(problem, **kw).solve()
+        monkeypatch.undo()
+        assert len(calls) == solution.iterations
+        return calls
+
+    @staticmethod
+    def _replay(calls):
+        outs = []
+        for data, mu, prev, epsilon in calls:
+            got = kernels._proximal_columns(data, mu, prev, epsilon)
+            want = proximal_columns_oracle(data, mu, prev, epsilon)
+            assert np.array_equal(got, want)
+            assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
+            outs.append(got)
+        return outs
+
+    def test_paper_defaults_solve_is_bit_identical(self, monkeypatch,
+                                                   paper_instance):
+        calls = self._recorded_solve(monkeypatch, paper_instance)
+        assert len(calls) > 20
+        self._replay(calls)
+
+    def test_mixed_instance_solve_is_bit_identical(self, monkeypatch):
+        # Column 0 linear (gamma = 1), 1 free of the network term
+        # (beta = 0), 2 so small and cheap its capacity binds, 3 masked
+        # for everyone, 5 so expensive it drops out of the live set.
+        rng = np.random.default_rng(5)
+        C, N = 10, 7
+        mask = rng.random((C, N)) < 0.7
+        mask[:, 3] = False
+        mask[0, :3] = mask[:, 0] = True
+        data = ProblemData(
+            demands=rng.uniform(5, 20, size=C),
+            capacities=[100.0, 100.0, 5.0, 100.0, 100.0, 100.0, 100.0],
+            prices=[3.0, 2.0, 0.1, 1.0, 4.0, 500.0, 2.0], alpha=1.0,
+            beta=[0.01, 0.0, 0.01, 0.01, 0.02, 0.01, 0.01],
+            gamma=[1.0, 3.0, 3.0, 3.0, 2.0, 3.0, 1.5], mask=mask)
+        calls = self._recorded_solve(
+            monkeypatch, ReplicaSelectionProblem(data), max_iter=250)
+        outs = self._replay(calls)
+        loads = np.array([out.sum(axis=0) for out in outs])
+        # The trajectory really visits what the comment above promises.
+        assert np.all(loads[:, 3] == 0.0)
+        assert np.any(np.abs(loads[:, 2] - data.B[2]) < 1e-9)      # phase 2
+        assert np.any(loads[:, 2] < data.B[2] - 1e-3)              # phase 1
+        idle = loads[:, 5] == 0.0
+        assert idle.any() and not idle.all()        # live set changes size
+        assert np.all(loads[:, 0] > 0.0) and np.all(loads[:, 1] > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_property_random_calls_are_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        C, N = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+        data = ProblemData(
+            demands=rng.uniform(0, 10, size=C),
+            capacities=rng.choice([0.5, 5.0, 100.0], size=N),
+            prices=rng.uniform(0.1, 10, size=N),
+            alpha=float(rng.choice([0.0, 1.0])),
+            beta=rng.choice([0.0, 0.01, 0.1], size=N),
+            gamma=rng.choice([1.0, 1.5, 2.0, 3.0], size=N),
+            mask=rng.random((C, N)) < rng.uniform(0.2, 1.0))
+        mu = rng.uniform(-80, 10, size=C)
+        prev = rng.uniform(0, 20, size=(C, N)) * (rng.random((C, N)) < 0.8)
+        epsilon = float(rng.choice([0.05, 0.5, 5.0]))
+        self._replay([(data, mu, prev, epsilon)])
 
 
 class TestCdpsmGradientStep:

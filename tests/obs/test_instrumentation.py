@@ -9,7 +9,11 @@ statistics.
 
 import pytest
 
+import numpy as np
+
 from repro.core import ProblemData, ReplicaSelectionProblem, solve
+from repro.core.aggregate import solve_aggregated
+from repro.edr.coordinator import solve_sharded
 from repro.edr.membership import MembershipRing
 from repro.edr.system import EDRSystem, RuntimeConfig
 from repro.obs import TraceRecorder, iter_records, validate_record
@@ -60,6 +64,45 @@ class TestSolverInstrumentation:
         (done,) = rec.events_named("solver.solve")
         assert done["method"] == "reference"
         assert done["objective"] == pytest.approx(sol.objective)
+
+
+class TestAggregatedSolveSpans:
+    """Group / reduce / solve / expand are the four layers of an
+    aggregated solve; each is timed by exactly one span."""
+
+    STAGES = ["aggregate.group", "aggregate.reduce", "aggregate.solve",
+              "aggregate.expand"]
+
+    @pytest.fixture
+    def class_problem(self) -> ReplicaSelectionProblem:
+        mask = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]],
+                        dtype=bool)[np.arange(30) % 3]
+        data = ProblemData.paper_defaults(
+            demands=np.linspace(2.0, 8.0, 30), prices=[2.0, 10.0, 4.0, 1.0],
+            mask=mask)
+        return ReplicaSelectionProblem(data)
+
+    @pytest.mark.parametrize("run", [
+        lambda p, rec: solve_aggregated(p, "lddm", recorder=rec),
+        lambda p, rec: solve(p, "cdpsm", aggregate=True, recorder=rec,
+                             max_iter=30),
+        lambda p, rec: solve_sharded(p, 2, recorder=rec),
+        lambda p, rec: solve_sharded(p, 1, recorder=rec),
+    ], ids=["solve_aggregated", "solve-cdpsm", "sharded", "one-shard"])
+    def test_four_stage_spans_once_each_in_order(self, run, class_problem):
+        rec = TraceRecorder()
+        sol = run(class_problem, rec)
+        spans = [r for r in rec.records if r["kind"] == "span"]
+        assert [r["name"] for r in spans] == self.STAGES
+        assert all(r["duration"] >= 0.0 for r in spans)
+        assert sum(r["duration"] for r in spans) <= sol.solve_time_s
+        for record in iter_records(rec):
+            validate_record(record)
+
+    def test_untraced_solve_is_unchanged(self, class_problem):
+        traced = solve_aggregated(class_problem, recorder=TraceRecorder())
+        plain = solve_aggregated(class_problem)
+        assert np.array_equal(traced.allocation, plain.allocation)
 
 
 class TestRuntimeInstrumentation:
