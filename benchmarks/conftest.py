@@ -8,32 +8,11 @@ Run with::
     pytest benchmarks/ --benchmark-only -s
 """
 
-import json
 import pathlib
-import subprocess
 
 import pytest
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
-
-#: Machine-readable solver-benchmark ledger (appended across runs).
-BENCH_LEDGER = REPORT_DIR / "BENCH_solvers.json"
-
-#: Repo-level perf trajectory for the headline fig9 bench: one compact
-#: record per run (largest-point solve time, total iterations, git rev)
-#: at the repository root, so the trend is visible without digging into
-#: ``benchmarks/reports/``.
-FIG9_TRAJECTORY = pathlib.Path(__file__).parent.parent / "BENCH_fig9.json"
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=pathlib.Path(__file__).parent, capture_output=True,
-            text=True, timeout=10, check=True).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
 
 
 @pytest.fixture
@@ -57,70 +36,5 @@ def json_sink():
 
     def write(name: str, results: dict) -> None:
         (REPORT_DIR / f"{name}.json").write_text(dump_results(results))
-
-    return write
-
-
-@pytest.fixture
-def fig9_trajectory():
-    """Appends one summary record per fig9 bench run to ``BENCH_fig9.json``.
-
-    The top-level trajectory file holds only the headline numbers —
-    everything else stays in the detailed ledger.  List-of-float fields
-    (e.g. the incremental bench's per-event-latency series) are rounded
-    so the trajectory file stays compact and diffable.
-    """
-    rev = _git_rev()
-
-    def write(**fields) -> dict:
-        record = {"git_rev": rev}
-        for k, v in sorted(fields.items()):
-            if isinstance(v, list) and v and \
-                    all(isinstance(x, float) for x in v):
-                v = [round(x, 4) for x in v]
-            record[k] = v
-        try:
-            history = json.loads(FIG9_TRAJECTORY.read_text())
-            if not isinstance(history, list):
-                history = []
-        except (OSError, ValueError):
-            history = []
-        history.append(record)
-        FIG9_TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-        return record
-
-    return write
-
-
-@pytest.fixture
-def bench_report():
-    """Appends solver-benchmark records to ``BENCH_solvers.json``.
-
-    Each record is ``{bench, params, wall_s, iterations, git_rev}`` —
-    the append-only ledger regression tooling (and EXPERIMENTS.md)
-    reads solver timing history from.  Extra keyword arguments are
-    folded into ``params``.
-    """
-    REPORT_DIR.mkdir(exist_ok=True)
-    rev = _git_rev()
-
-    def write(bench: str, wall_s: float, iterations: int,
-              **params) -> dict:
-        record = {
-            "bench": str(bench),
-            "params": {k: v for k, v in sorted(params.items())},
-            "wall_s": round(float(wall_s), 6),
-            "iterations": int(iterations),
-            "git_rev": rev,
-        }
-        try:
-            history = json.loads(BENCH_LEDGER.read_text())
-            if not isinstance(history, list):
-                history = []
-        except (OSError, ValueError):
-            history = []
-        history.append(record)
-        BENCH_LEDGER.write_text(json.dumps(history, indent=2) + "\n")
-        return record
 
     return write

@@ -8,11 +8,10 @@ response), the 10^5-request scaling point must complete, and the Fig.
 6/7 paper scenarios must render byte-identically under either engine.
 """
 
-import time
-
 import numpy as np
 import pytest
 
+from repro.edr.system import NetConfig
 from repro.experiments import fig6_fig7
 from repro.experiments.runtime_common import ALGORITHMS, run_runtime
 from repro.experiments.scenarios import PAPER_DFS, PAPER_VIDEO
@@ -25,8 +24,8 @@ MAX_GAP = 1e-9
 
 #: Engine configs: the default (coalesced + vector) and the legacy
 #: per-request scalar path it replaces.
-NEW = dict(coalesce=True, flow_kernel="vector")
-LEGACY = dict(coalesce=False, flow_kernel="scalar")
+NEW = NetConfig(coalesce=True, flow_kernel="vector")
+LEGACY = NetConfig(coalesce=False, flow_kernel="scalar")
 
 
 def _gaps(a, b):
@@ -40,27 +39,13 @@ def _sweep(request_counts, legacy_limit):
                                          legacy_limit=legacy_limit)
 
 
-def test_bench_traffic_smoke(benchmark, report_sink, bench_report,
-                             fig9_trajectory):
+def test_bench_traffic_smoke(benchmark, report_sink):
     # The smallest scaling point, both paths — CI's traffic smoke.
-    start = time.perf_counter()
     result = benchmark.pedantic(
         _sweep, kwargs={"request_counts": (1_000,), "legacy_limit": 1_000},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     point = result.point(1_000)
     report_sink("traffic_smoke", result.render())
-    bench_report("traffic_smoke", wall_s=wall_s, iterations=1_000,
-                 wall_new_s=round(point.wall_new_s, 3),
-                 wall_legacy_s=round(point.wall_legacy_s, 3),
-                 speedup=round(point.speedup, 2))
-    fig9_trajectory(
-        traffic_smoke_requests=1_000,
-        traffic_smoke_new_s=round(point.wall_new_s, 3),
-        traffic_smoke_legacy_s=round(point.wall_legacy_s, 3),
-        traffic_smoke_speedup=round(point.speedup, 2),
-        traffic_smoke_coalesced=point.result_new.extras["flows_coalesced"],
-        wall_s=round(wall_s, 3))
     # Exactness is non-negotiable at any scale; the speedup gate at this
     # size is loose (fixed control-plane cost still dominates).
     assert point.cents_gap <= MAX_GAP
@@ -70,32 +55,14 @@ def test_bench_traffic_smoke(benchmark, report_sink, bench_report,
     benchmark.extra_info["speedup"] = round(point.speedup, 2)
 
 
-def test_bench_traffic_speedup_10k(benchmark, report_sink, bench_report,
-                                   fig9_trajectory):
+def test_bench_traffic_speedup_10k(benchmark, report_sink):
     # The tentpole gate: 10^4 requests through the full runtime, both
     # engine paths on the same trace.
-    start = time.perf_counter()
     result = benchmark.pedantic(
         _sweep, kwargs={"request_counts": (10_000,), "legacy_limit": 10_000},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     point = result.point(10_000)
     report_sink("traffic_speedup_10k", result.render())
-    bench_report("traffic_speedup_10k", wall_s=wall_s, iterations=10_000,
-                 wall_new_s=round(point.wall_new_s, 3),
-                 wall_legacy_s=round(point.wall_legacy_s, 3),
-                 speedup=round(point.speedup, 2),
-                 coalesced=point.result_new.extras["flows_coalesced"],
-                 recomputes=point.result_new.extras["flow_recomputes"])
-    fig9_trajectory(
-        traffic_requests=10_000,
-        traffic_new_s=round(point.wall_new_s, 3),
-        traffic_legacy_s=round(point.wall_legacy_s, 3),
-        traffic_speedup=round(point.speedup, 2),
-        traffic_coalesced=point.result_new.extras["flows_coalesced"],
-        traffic_recomputes=point.result_new.extras["flow_recomputes"],
-        traffic_cents_gap=float(f"{point.cents_gap:.3e}"),
-        wall_s=round(wall_s, 3))
     assert point.speedup >= MIN_SPEEDUP_10K, \
         (point.wall_new_s, point.wall_legacy_s)
     assert point.cents_gap <= MAX_GAP
@@ -104,26 +71,14 @@ def test_bench_traffic_speedup_10k(benchmark, report_sink, bench_report,
 
 
 @pytest.mark.slow
-def test_bench_traffic_scale_100k(benchmark, report_sink, bench_report,
-                                  fig9_trajectory):
+def test_bench_traffic_scale_100k(benchmark, report_sink):
     # The scaling headline: 10^5 requests end to end on the new engine
     # (the legacy path is far past its practical range here).
-    start = time.perf_counter()
     result = benchmark.pedantic(
         _sweep, kwargs={"request_counts": (100_000,), "legacy_limit": 0},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     point = result.point(100_000)
     report_sink("traffic_scale_100k", result.render())
-    bench_report("traffic_scale_100k", wall_s=wall_s, iterations=100_000,
-                 wall_new_s=round(point.wall_new_s, 3),
-                 coalesced=point.result_new.extras["flows_coalesced"],
-                 recomputes=point.result_new.extras["flow_recomputes"])
-    fig9_trajectory(
-        traffic_scale_requests=100_000,
-        traffic_scale_new_s=round(point.wall_new_s, 3),
-        traffic_scale_coalesced=point.result_new.extras["flows_coalesced"],
-        wall_s=round(wall_s, 3))
     # Completing with every request answered IS the gate.
     assert len(point.result_new.response_times) == 100_000
     assert point.result_new.extras["flows_coalesced"] > 0
@@ -133,8 +88,8 @@ def _fig67_parity_lines():
     lines = []
     for scenario in (PAPER_VIDEO, PAPER_DFS):
         app = scenario.app.name
-        new = {a: run_runtime(scenario, a, **NEW) for a in ALGORITHMS}
-        old = {a: run_runtime(scenario, a, **LEGACY) for a in ALGORITHMS}
+        new = {a: run_runtime(scenario, a, net=NEW) for a in ALGORITHMS}
+        old = {a: run_runtime(scenario, a, net=LEGACY) for a in ALGORITHMS}
         for algo in ALGORITHMS:
             cents_gap, resp_gap = _gaps(new[algo], old[algo])
             lines.append(f"{app}/{algo}: cents_gap={cents_gap:.3e} "

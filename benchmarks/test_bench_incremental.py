@@ -7,8 +7,6 @@ objective, and a longer churn soak must stay fallback-free with bounded
 p99 event latency.
 """
 
-import time
-
 from repro.experiments import fig9
 
 #: The acceptance gate: per-event cost vs the warm full re-solve.
@@ -18,33 +16,12 @@ MIN_SPEEDUP = 10.0
 MAX_REL_GAP = 1e-6
 
 
-def test_bench_incremental_events(benchmark, report_sink, bench_report,
-                                  fig9_trajectory):
-    start = time.perf_counter()
+def test_bench_incremental_events(benchmark, report_sink):
     result = benchmark.pedantic(
         fig9.run_incremental_events,
         kwargs={"n_clients": 10_000, "n_events": 200},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("incremental_events", result.render())
-    bench_report("incremental_events", wall_s=wall_s,
-                 iterations=result.n_events,
-                 n_clients=result.n_clients,
-                 mean_event_ms=round(result.mean_event_ms(), 4),
-                 p99_event_ms=round(result.event_p(99), 4),
-                 mean_resolve_ms=round(result.mean_resolve_ms(), 4),
-                 speedup=round(result.speedup(), 2),
-                 fallbacks=result.fallbacks)
-    fig9_trajectory(
-        incremental_clients=result.n_clients,
-        incremental_events=result.n_events,
-        incremental_mean_event_ms=round(result.mean_event_ms(), 4),
-        incremental_p99_event_ms=round(result.event_p(99), 4),
-        incremental_resolve_ms=round(result.mean_resolve_ms(), 4),
-        incremental_speedup=round(result.speedup(), 2),
-        incremental_worst_gap=float(f"{result.worst_gap():.3e}"),
-        incremental_event_ms_series=list(result.event_ms),
-        wall_s=round(wall_s, 3))
     # The acceptance gate: a per-client event is at least 10x cheaper
     # than the warm full re-solve it replaces.
     assert result.speedup() >= MIN_SPEEDUP
@@ -55,25 +32,17 @@ def test_bench_incremental_events(benchmark, report_sink, bench_report,
     benchmark.extra_info["speedup"] = round(result.speedup(), 2)
 
 
-def test_bench_incremental_churn_soak(benchmark, report_sink, bench_report):
+def test_bench_incremental_churn_soak(benchmark, report_sink):
     # Sustained churn: 1000 arrivals/departures/demand changes against
     # one state, objective-checked every 25 events.  The population and
     # total demand random-walk, so this exercises drift accounting and
     # headroom tracking far past what the headline bench touches.
-    start = time.perf_counter()
     result = benchmark.pedantic(
         fig9.run_incremental_events,
         kwargs={"n_clients": 10_000, "n_events": 1000, "compare_every": 25,
                 "event_seed": 11},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("incremental_churn_soak", result.render())
-    bench_report("incremental_churn_soak", wall_s=wall_s,
-                 iterations=result.n_events,
-                 n_clients=result.n_clients,
-                 p99_event_ms=round(result.event_p(99), 4),
-                 speedup=round(result.speedup(), 2),
-                 fallbacks=result.fallbacks)
     # Tail latency stays bounded across the whole soak...
     assert result.event_p(99) <= 5.0
     # ...the allocation never drifts off the solver's answer...

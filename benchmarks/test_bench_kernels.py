@@ -4,9 +4,10 @@ Unlike the figure benchmarks (single full-scale runs), these use
 pytest-benchmark's statistical timing over many rounds, so kernel
 performance regressions show up in `--benchmark-compare` workflows.
 
-The ``test_bench_batched_*`` benchmarks time one full solver run in
-batched vs scalar mode on the same instance and record the measured
-speedup in ``extra_info`` — the headline numbers for the kernel layer.
+The ``test_bench_batched_*`` benchmarks time one full solver run against
+the scalar loops in ``tests/oracles/solvers.py`` on the same instance and
+record the measured speedup in ``extra_info`` — the headline numbers for
+the kernel layer.
 """
 
 import time
@@ -27,6 +28,7 @@ from repro.core.subproblem import ReplicaSubproblem, solve_replica_subproblem
 from repro.core import model
 from repro.net.flows import Flow, max_min_fair_rates
 from repro.sim.engine import Simulator
+from tests.oracles.solvers import ScalarCdpsmSolver, ScalarLddmSolver
 
 
 def test_bench_kernel_simplex_projection(benchmark):
@@ -89,39 +91,33 @@ def _timed_solve(problem, cls, **kw):
 
 
 @pytest.mark.parametrize("n_clients,n_replicas", [(16, 32), (64, 32)])
-def test_bench_batched_cdpsm(benchmark, bench_report, n_clients, n_replicas):
+def test_bench_batched_cdpsm(benchmark, n_clients, n_replicas):
     problem = _bench_instance(n_clients, n_replicas)
     kw = dict(max_iter=10)
-    scalar, scalar_s = _timed_solve(problem, CdpsmSolver, batched=False, **kw)
-    batched, batched_s = _timed_solve(problem, CdpsmSolver, batched=True, **kw)
+    scalar, scalar_s = _timed_solve(problem, ScalarCdpsmSolver, **kw)
+    batched, batched_s = _timed_solve(problem, CdpsmSolver, **kw)
     assert abs(batched.objective - scalar.objective) < 1e-6
     benchmark.pedantic(
-        lambda: CdpsmSolver(problem, batched=True, **kw).solve(),
+        lambda: CdpsmSolver(problem, **kw).solve(),
         rounds=3, iterations=1)
     benchmark.extra_info["scalar_s"] = round(scalar_s, 4)
     benchmark.extra_info["batched_s"] = round(batched_s, 4)
     benchmark.extra_info["speedup"] = round(scalar_s / batched_s, 2)
-    bench_report("batched_cdpsm", wall_s=batched_s,
-                 iterations=batched.iterations, n_clients=n_clients,
-                 n_replicas=n_replicas, scalar_s=round(scalar_s, 6))
 
 
 @pytest.mark.parametrize("n_clients,n_replicas", [(16, 32), (64, 32)])
-def test_bench_batched_lddm(benchmark, bench_report, n_clients, n_replicas):
+def test_bench_batched_lddm(benchmark, n_clients, n_replicas):
     problem = _bench_instance(n_clients, n_replicas)
     kw = dict(max_iter=40)
-    scalar, scalar_s = _timed_solve(problem, LddmSolver, batched=False, **kw)
-    batched, batched_s = _timed_solve(problem, LddmSolver, batched=True, **kw)
+    scalar, scalar_s = _timed_solve(problem, ScalarLddmSolver, **kw)
+    batched, batched_s = _timed_solve(problem, LddmSolver, **kw)
     assert abs(batched.objective - scalar.objective) < 1e-6
     benchmark.pedantic(
-        lambda: LddmSolver(problem, batched=True, **kw).solve(),
+        lambda: LddmSolver(problem, **kw).solve(),
         rounds=3, iterations=1)
     benchmark.extra_info["scalar_s"] = round(scalar_s, 4)
     benchmark.extra_info["batched_s"] = round(batched_s, 4)
     benchmark.extra_info["speedup"] = round(scalar_s / batched_s, 2)
-    bench_report("batched_lddm", wall_s=batched_s,
-                 iterations=batched.iterations, n_clients=n_clients,
-                 n_replicas=n_replicas, scalar_s=round(scalar_s, 6))
 
 
 def test_bench_kernel_max_min_fair(benchmark):

@@ -1,77 +1,19 @@
-"""Benchmark — telemetry overhead and trace reconciliation.
+"""Benchmark — trace reconciliation.
 
-Two gates for the :mod:`repro.obs` subsystem:
-
-* **NullRecorder overhead** — the default (disabled) recorder must not
-  slow the headline fig9 sweep: instrumentation behind ``rec.enabled``
-  costs one attribute check per site.  The wall time is compared against
-  the most recent ``BENCH_fig9.json`` trajectory record and appended to
-  the ledger so the cross-commit trend stays visible.
-* **Trace reconciliation** — a traced fig9 point must (a) leave the
-  simulation bit-identical to an untraced run, and (b) produce totals
-  (iterations, batches, warm hits, simulated solve seconds) that agree
-  exactly with the ``ExperimentResult.extras`` accounting the warm-start
-  benchmarks assert against.
+A traced fig9 point must (a) leave the simulation bit-identical to an
+untraced run, and (b) produce totals (iterations, batches, warm hits,
+simulated solve seconds) that agree exactly with the
+``ExperimentResult.extras`` accounting the warm-start benchmarks assert
+against.  What tracing costs is ``obs.trace_overhead`` in
+``benchmarks/e2e`` (traced vs untraced pass inside one run).
 """
-
-import json
-import time
 
 import pytest
 
-from benchmarks.conftest import FIG9_TRAJECTORY
 from repro.experiments import fig9
 from repro.obs import TraceRecorder, from_jsonl, summary
 
-#: Allowed fig9 wall-time regression vs the recorded trajectory.  The
-#: ISSUE bar is 2%; the in-test gate is looser because single-run wall
-#: times on shared CI machines jitter more than that — the ledger keeps
-#: the exact numbers for offline comparison.
-WALL_REGRESSION_FACTOR = 1.25
-
-
-def _previous_fig9_wall() -> float | None:
-    try:
-        history = json.loads(FIG9_TRAJECTORY.read_text())
-    except (OSError, ValueError):
-        return None
-    walls = [r["wall_s"] for r in history if "wall_s" in r]
-    return float(walls[-1]) if walls else None
-
-
-def test_bench_null_recorder_overhead(benchmark, bench_report,
-                                      fig9_trajectory):
-    prev_wall = _previous_fig9_wall()
-    t0 = time.perf_counter()
-    fig9.run(request_counts=fig9.DEFAULT_REQUEST_COUNTS)
-    wall_first = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    result = benchmark.pedantic(
-        fig9.run, kwargs={"request_counts": fig9.DEFAULT_REQUEST_COUNTS},
-        rounds=1, iterations=1)
-    # min-of-2 damps shared-machine jitter.
-    wall_s = min(wall_first, time.perf_counter() - t0)
-    assert max(result.edr_mean_response) < 0.2
-    benchmark.extra_info["wall_s"] = round(wall_s, 3)
-    benchmark.extra_info["previous_wall_s"] = prev_wall
-    # Gate first: a failing run must not append a slower baseline for
-    # the next run to be compared against.
-    if prev_wall is not None:
-        assert wall_s <= prev_wall * WALL_REGRESSION_FACTOR, \
-            (f"fig9 with the default NullRecorder took {wall_s:.2f}s vs "
-             f"{prev_wall:.2f}s recorded in {FIG9_TRAJECTORY.name}")
-    bench_report("obs_null_overhead", wall_s=wall_s,
-                 iterations=sum(result.edr_solve_iterations),
-                 previous_wall_s=prev_wall)
-    fig9_trajectory(
-        largest_point_requests=int(result.request_counts[-1]),
-        largest_point_solve_s=round(result.edr_solve_time[-1], 6),
-        largest_point_mean_response_s=round(result.edr_mean_response[-1], 6),
-        total_iterations=int(sum(result.edr_solve_iterations)),
-        wall_s=round(wall_s, 3))
-
-
-def test_bench_trace_reconciliation(benchmark, bench_report, tmp_path):
+def test_bench_trace_reconciliation(benchmark, tmp_path):
     counts = (24, 48)
     baseline = fig9.run(request_counts=counts)
     rec = TraceRecorder()
@@ -108,7 +50,3 @@ def test_bench_trace_reconciliation(benchmark, bench_report, tmp_path):
 
     benchmark.extra_info["records"] = len(rec.records)
     benchmark.extra_info["warm_hit_rate"] = round(s["warm_start"]["hit_rate"], 3)
-    bench_report("obs_trace_reconciliation", wall_s=0.0,
-                 iterations=s["sessions"]["iterations"],
-                 records=len(rec.records), warm_hits=hits,
-                 warm_misses=misses, request_counts=list(counts))

@@ -6,17 +6,12 @@ point must solve end-to-end through the sharded plane inside a fixed
 wall budget with a bounded objective gap against the tight monolithic
 aggregated solve (and bit-identical allocations across execution
 modes), and the shard-routed event stream must keep per-event cost
-independent of the total client count.  The persistent-fleet gate pins
-the long-lived-plane regime: consecutive solves on one coordinator at
-least 2x faster with the shared-memory worker fleet than with a
-per-solve pool, per-round shipped bytes independent of round count,
-and online re-partitioning that migrates classes under demand skew
-without tearing the plane down.  The 10^7-client point and the long
-churn soak carry the ``slow`` marker — ``make bench`` skips them,
-``make bench-full`` runs everything.
+independent of the total client count.  The elastic-skew gate pins
+the long-lived-plane regime: online re-partitioning migrates classes
+under demand skew without tearing the plane down.  The 10^7-client
+point and the long churn soak carry the ``slow`` marker — ``make
+bench`` skips them, ``make bench-full`` runs everything.
 """
-
-import time
 
 import pytest
 
@@ -36,40 +31,15 @@ WALL_BUDGET_1E7_S = 180.0
 #: Tail-latency bound on a shard-routed client event.
 P99_EVENT_MS = 5.0
 
-#: Minimum wall-time advantage the persistent worker fleet must keep
-#: over the legacy per-solve pool across consecutive solves.
-MIN_FLEET_SPEEDUP = 2.0
 
-
-def test_bench_shard_million_clients(benchmark, report_sink, bench_report,
-                                     fig9_trajectory):
-    start = time.perf_counter()
+def test_bench_shard_million_clients(benchmark, report_sink):
     result = benchmark.pedantic(
         fig9.run_sharded_scaling,
         kwargs={"client_counts": (1_000_000,), "n_shards": 4,
                 "n_replicas": 6, "n_patterns": 24,
                 "check_mode": "thread"},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("shard_scaling", result.render())
-    bench_report("shard_scaling", wall_s=wall_s,
-                 iterations=sum(result.rounds),
-                 n_clients=result.client_counts[-1],
-                 n_shards=result.n_shards,
-                 n_classes=result.n_classes[-1],
-                 sharded_s=round(result.sharded_solve_s[-1], 4),
-                 monolithic_s=round(result.monolithic_solve_s[-1], 4),
-                 worst_gap=float(f"{result.worst_gap():.3e}"))
-    fig9_trajectory(
-        shard_clients=result.client_counts[-1],
-        shard_count=result.n_shards,
-        shard_classes=result.n_classes[-1],
-        shard_solve_s=round(result.sharded_solve_s[-1], 4),
-        shard_monolithic_s=round(result.monolithic_solve_s[-1], 4),
-        shard_rounds=result.rounds[-1],
-        shard_worst_gap=float(f"{result.worst_gap():.3e}"),
-        shard_modes_identical=all(result.modes_identical),
-        wall_s=round(wall_s, 3))
     # The acceptance gate: the 10^6-client point solves end-to-end
     # inside the wall budget...
     assert result.sharded_solve_s[-1] <= WALL_BUDGET_1E6_S
@@ -82,37 +52,16 @@ def test_bench_shard_million_clients(benchmark, report_sink, bench_report,
     benchmark.extra_info["worst_gap"] = float(f"{result.worst_gap():.3e}")
 
 
-def test_bench_shard_event_stream_scale_free(benchmark, report_sink,
-                                             bench_report, fig9_trajectory):
+def test_bench_shard_event_stream_scale_free(benchmark, report_sink):
     # Same churn stream routed through planes built at 10^5 and 10^6
     # clients: events touch only the owning shard's class rows, so the
     # per-event cost must not grow with the client count.
     small = fig9.run_sharded_events(n_clients=100_000, n_events=200)
-    start = time.perf_counter()
     large = benchmark.pedantic(
         fig9.run_sharded_events,
         kwargs={"n_clients": 1_000_000, "n_events": 200},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("shard_events", small.render() + "\n\n" + large.render())
-    bench_report("shard_events", wall_s=wall_s,
-                 iterations=large.n_events,
-                 n_clients=large.n_clients,
-                 n_shards=large.n_shards,
-                 mean_event_ms=round(large.mean_event_ms(), 4),
-                 p99_event_ms=round(large.event_p(99), 4),
-                 small_mean_event_ms=round(small.mean_event_ms(), 4),
-                 refreshes=large.refreshes,
-                 fallbacks=large.fallbacks)
-    fig9_trajectory(
-        shard_event_clients=large.n_clients,
-        shard_event_count=large.n_events,
-        shard_event_mean_ms=round(large.mean_event_ms(), 4),
-        shard_event_p99_ms=round(large.event_p(99), 4),
-        shard_event_small_mean_ms=round(small.mean_event_ms(), 4),
-        shard_event_refreshes=large.refreshes,
-        shard_event_fallbacks=large.fallbacks,
-        wall_s=round(wall_s, 3))
     # Tail latency stays bounded at both scales...
     assert small.event_p(99) <= P99_EVENT_MS
     assert large.event_p(99) <= P99_EVENT_MS
@@ -122,85 +71,14 @@ def test_bench_shard_event_stream_scale_free(benchmark, report_sink,
     benchmark.extra_info["p99_event_ms"] = round(large.event_p(99), 4)
 
 
-def test_bench_shard_persistent_fleet(benchmark, report_sink, bench_report,
-                                      fig9_trajectory):
-    # Consecutive solves on ONE long-lived coordinator: the persistent
-    # shared-memory fleet vs the legacy per-solve process pool.  One
-    # retry absorbs scheduler noise on loaded CI boxes — the gate is on
-    # the better of (at most) two full runs.
-    start = time.perf_counter()
-    result = benchmark.pedantic(fig9.run_persistent_fleet,
-                                rounds=1, iterations=1)
-    if result.speedup() < MIN_FLEET_SPEEDUP:
-        retry = fig9.run_persistent_fleet()
-        if retry.speedup() > result.speedup():
-            result = retry
-    wall_s = time.perf_counter() - start
-    bpr = result.bytes_per_round()
-    report_sink("shard_fleet", result.render())
-    bench_report("shard_fleet", wall_s=wall_s,
-                 iterations=result.rounds_shipped,
-                 n_clients=result.n_clients,
-                 n_shards=result.n_shards,
-                 n_solves=result.n_solves,
-                 fleet_ms=round(sum(result.fleet_walls) * 1000, 3),
-                 baseline_ms=round(sum(result.baseline_walls) * 1000, 3),
-                 speedup=round(result.speedup(), 3),
-                 static_bytes=result.static_bytes,
-                 reships=result.reships)
-    fig9_trajectory(
-        fleet_clients=result.n_clients,
-        fleet_shards=result.n_shards,
-        fleet_solves=result.n_solves,
-        fleet_ms=round(sum(result.fleet_walls) * 1000, 3),
-        fleet_baseline_ms=round(sum(result.baseline_walls) * 1000, 3),
-        fleet_speedup=round(result.speedup(), 3),
-        fleet_bytes_per_round=round(max(bpr), 1),
-        fleet_reships=result.reships,
-        fleet_identical=result.serial_identical,
-        wall_s=round(wall_s, 3))
-    # The acceptance gate: >= 5 consecutive solves on one coordinator,
-    # at least 2x faster with the persistent fleet...
-    assert result.n_solves >= 5
-    assert result.speedup() >= MIN_FLEET_SPEEDUP
-    # ...per-round shipped bytes independent of how many rounds ran
-    # (the delta-only contract: every round ships the same task)...
-    assert bpr and max(bpr) - min(bpr) <= 1e-9
-    # ...no geometry re-ship across demand-only retargets...
-    assert result.reships == 0
-    # ...and the fleet's allocation is bit-identical to serial.
-    assert result.serial_identical
-    benchmark.extra_info["speedup"] = round(result.speedup(), 3)
-
-
-def test_bench_shard_elastic_skew(benchmark, report_sink, bench_report,
-                                  fig9_trajectory):
+def test_bench_shard_elastic_skew(benchmark, report_sink):
     # A hot-spot arrival stream skews one shard's demand share past the
     # rebalance threshold: the coordinator must migrate classes off the
     # hot shard while the stream runs — no plane teardown — and a
     # process-mode replay must land bit-identical to serial.
-    start = time.perf_counter()
     result = benchmark.pedantic(fig9.run_elastic_skew,
                                 rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("shard_elastic", result.render())
-    bench_report("shard_elastic", wall_s=wall_s,
-                 iterations=result.events,
-                 n_clients=result.n_clients,
-                 n_shards=result.n_shards,
-                 migrations=result.migrations,
-                 resizes=result.resizes,
-                 skew_peak=round(result.skew_peak, 3),
-                 skew_after=round(result.skew_after, 3))
-    fig9_trajectory(
-        elastic_clients=result.n_clients,
-        elastic_events=result.events,
-        elastic_migrations=result.migrations,
-        elastic_resizes=result.resizes,
-        elastic_skew_peak=round(result.skew_peak, 3),
-        elastic_skew_after=round(result.skew_after, 3),
-        elastic_identical=result.modes_identical,
-        wall_s=round(wall_s, 3))
     # The skewed-demand scenario must trigger online migration...
     assert result.migrations >= 1
     # ...without ever tearing the plane down...
@@ -214,33 +92,14 @@ def test_bench_shard_elastic_skew(benchmark, report_sink, bench_report,
 
 
 @pytest.mark.slow
-def test_bench_shard_ten_million_clients(benchmark, report_sink,
-                                         bench_report, fig9_trajectory):
-    start = time.perf_counter()
+def test_bench_shard_ten_million_clients(benchmark, report_sink):
     result = benchmark.pedantic(
         fig9.run_sharded_scaling,
         kwargs={"client_counts": (10_000_000,), "n_shards": 4,
                 "n_replicas": 6, "n_patterns": 24,
                 "check_mode": "thread"},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("shard_scaling_1e7", result.render())
-    bench_report("shard_scaling_1e7", wall_s=wall_s,
-                 iterations=sum(result.rounds),
-                 n_clients=result.client_counts[-1],
-                 n_shards=result.n_shards,
-                 sharded_s=round(result.sharded_solve_s[-1], 4),
-                 monolithic_s=round(result.monolithic_solve_s[-1], 4),
-                 worst_gap=float(f"{result.worst_gap():.3e}"))
-    fig9_trajectory(
-        shard_clients=result.client_counts[-1],
-        shard_count=result.n_shards,
-        shard_solve_s=round(result.sharded_solve_s[-1], 4),
-        shard_monolithic_s=round(result.monolithic_solve_s[-1], 4),
-        shard_rounds=result.rounds[-1],
-        shard_worst_gap=float(f"{result.worst_gap():.3e}"),
-        shard_modes_identical=all(result.modes_identical),
-        wall_s=round(wall_s, 3))
     assert result.sharded_solve_s[-1] <= WALL_BUDGET_1E7_S
     assert result.worst_gap() <= MAX_REL_GAP
     assert all(result.modes_identical)
@@ -248,24 +107,15 @@ def test_bench_shard_ten_million_clients(benchmark, report_sink,
 
 
 @pytest.mark.slow
-def test_bench_shard_churn_soak(benchmark, report_sink, bench_report):
+def test_bench_shard_churn_soak(benchmark, report_sink):
     # Sustained churn against a 10^6-client plane: 1000 mixed events,
     # declines and residual drift recovered inside the coordinator.
-    start = time.perf_counter()
     result = benchmark.pedantic(
         fig9.run_sharded_events,
         kwargs={"n_clients": 1_000_000, "n_events": 1000,
                 "event_seed": 11},
         rounds=1, iterations=1)
-    wall_s = time.perf_counter() - start
     report_sink("shard_churn_soak", result.render())
-    bench_report("shard_churn_soak", wall_s=wall_s,
-                 iterations=result.n_events,
-                 n_clients=result.n_clients,
-                 p99_event_ms=round(result.event_p(99), 4),
-                 refreshes=result.refreshes,
-                 fallbacks=result.fallbacks,
-                 final_residual=float(f"{result.final_residual:.3e}"))
     # Tail latency stays bounded across the whole soak...
     assert result.event_p(99) <= P99_EVENT_MS
     # ...and the plane never drifts past the refresh threshold.

@@ -1,6 +1,6 @@
 """Benchmark — cross-batch warm starts: iteration savings vs cold starts.
 
-Two levels, both recorded in ``BENCH_solvers.json``:
+Two levels:
 
 * **Solver level** — a drifting sequence of instances (same clients,
   demands wandering batch to batch) solved cold every time vs warm from
@@ -11,8 +11,6 @@ Two levels, both recorded in ``BENCH_solvers.json``:
   LDDM iterations across the sweep by at least 1.5x while the solution
   quality (mean response, per-point objectives) stays equivalent.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -53,7 +51,7 @@ def _drifting_problems(n_batches=12, n_clients=12, seed=7):
     return problems
 
 
-def test_bench_warm_start_solver(benchmark, bench_report):
+def test_bench_warm_start_solver(benchmark):
     problems = _drifting_problems()
     clients = [f"client{i}" for i in range(problems[0].data.n_clients)]
     replicas = [f"replica{j}" for j in range(problems[0].data.n_replicas)]
@@ -77,12 +75,8 @@ def test_bench_warm_start_solver(benchmark, bench_report):
                         problem.data.mask)
         return total_iters, objectives
 
-    t0 = time.perf_counter()
     cold_iters, cold_obj = solve_sequence(warm=False)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
     warm_iters, warm_obj = solve_sequence(warm=True)
-    warm_s = time.perf_counter() - t0
 
     for w, c in zip(warm_obj, cold_obj):
         assert w == pytest.approx(c, rel=OBJ_RTOL)
@@ -93,16 +87,11 @@ def test_bench_warm_start_solver(benchmark, bench_report):
     benchmark.extra_info["cold_iters"] = cold_iters
     benchmark.extra_info["warm_iters"] = warm_iters
     benchmark.extra_info["iter_reduction"] = round(cold_iters / warm_iters, 2)
-    bench_report("warm_start_solver", wall_s=warm_s, iterations=warm_iters,
-                 cold_iterations=cold_iters, cold_wall_s=round(cold_s, 6),
-                 n_batches=len(problems))
 
 
-def test_bench_warm_start_fig9(benchmark, bench_report):
-    t0 = time.perf_counter()
+def test_bench_warm_start_fig9(benchmark):
     warm = benchmark.pedantic(
         fig9.run, kwargs={"warm_start": True}, rounds=1, iterations=1)
-    warm_s = time.perf_counter() - t0
     cold = fig9.run(warm_start=False)
 
     warm_iters = sum(warm.edr_solve_iterations)
@@ -120,8 +109,3 @@ def test_bench_warm_start_fig9(benchmark, bench_report):
     benchmark.extra_info["iter_reduction"] = round(cold_iters / warm_iters, 2)
     benchmark.extra_info["warm_solve_s"] = round(sum(warm.edr_solve_time), 4)
     benchmark.extra_info["cold_solve_s"] = round(sum(cold.edr_solve_time), 4)
-    bench_report("warm_start_fig9", wall_s=warm_s, iterations=warm_iters,
-                 cold_iterations=cold_iters,
-                 warm_solve_s=round(sum(warm.edr_solve_time), 6),
-                 cold_solve_s=round(sum(cold.edr_solve_time), 6),
-                 request_counts=list(warm.request_counts))

@@ -11,6 +11,8 @@ plus algorithm-specific options).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from repro.core.aggregate import solve_aggregated
@@ -24,6 +26,22 @@ __all__ = ["solve", "ALGORITHMS"]
 
 #: Algorithms the facade dispatches to.
 ALGORITHMS = ("lddm", "cdpsm", "reference")
+
+
+def _option_names(algorithm: str) -> frozenset[str]:
+    """Keyword names ``solve(..., **options)`` accepts for ``algorithm``.
+
+    Read off the solver's own signature, so the service boundary
+    (:mod:`repro.service.plane`) rejects exactly what the solver would —
+    before the call, by name — without a second hand-kept list.  The
+    arguments :func:`solve` binds itself are not options.
+    """
+    if algorithm == "reference":
+        from repro.core.reference import solve_reference as target
+    else:
+        target = {"lddm": LddmSolver, "cdpsm": CdpsmSolver}[algorithm]
+    return frozenset(inspect.signature(target).parameters) \
+        - {"problem", "warm_start", "recorder"}
 
 
 def solve(problem: ReplicaSelectionProblem, algorithm: str = "lddm", *,

@@ -21,11 +21,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core import kernels, model
+from repro.core import kernels
 from repro.core.consensus import is_doubly_stochastic, uniform_weights
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
-from repro.core.projection import project_local_set
 from repro.core.solution import Solution
 from repro.core.stepsize import ConstantStep
 from repro.errors import ValidationError
@@ -69,10 +68,9 @@ class CdpsmSolver:
     dykstra_iter: inner iterations of the local-set projection.
     track_objective: record the objective of the consensus mean each
         iteration (the Fig. 5 curve).
-    batched: run all N per-replica projections as one stacked kernel
-        call per iteration (:mod:`repro.core.kernels`) instead of a
-        Python loop.  Both paths compute the same iterates; the scalar
-        loop is kept as the reference oracle.
+
+    All N per-replica projections of an iteration run as one stacked
+    kernel call (:mod:`repro.core.kernels`).
     """
 
     method = "cdpsm"
@@ -82,7 +80,6 @@ class CdpsmSolver:
                  step=None, max_iter: int = 400, tol: float = 1e-5,
                  dykstra_iter: int = 60,
                  track_objective: bool = True,
-                 batched: bool = True,
                  recorder=None) -> None:
         self.problem = problem
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -102,7 +99,6 @@ class CdpsmSolver:
         self.tol = float(tol)
         self.dykstra_iter = int(dykstra_iter)
         self.track_objective = bool(track_objective)
-        self.batched = bool(batched)
         self.converged_ = False
 
     def iterations(self, initial: np.ndarray | None = None):
@@ -129,38 +125,19 @@ class CdpsmSolver:
             raise ValidationError("initial allocation shape mismatch")
         self.converged_ = False
         # Per-replica estimates, each projected into its own local set.
-        if self.batched:
-            X = kernels.project_local_sets_stacked(
-                np.repeat(base[None], N, axis=0), data.R, data.mask,
-                cols, data.B, max_iter=self.dykstra_iter)
-        else:
-            X = np.stack([
-                project_local_set(base, data.R, data.mask, i,
-                                  float(data.B[i]),
-                                  max_iter=self.dykstra_iter)
-                for i in range(N)
-            ])
+        X = kernels.project_local_sets_stacked(
+            np.repeat(base[None], N, axis=0), data.R, data.mask,
+            cols, data.B, max_iter=self.dykstra_iter)
         tol_abs = self.tol * float(max(data.R.max(initial=0.0), 1.0))
         rec = self.recorder
         for k in range(self.max_iter):
             # Consensus: V_i = sum_j W[i, j] X_j.
             V = np.tensordot(self.weights, X, axes=(1, 0))
             d_k = self.step(k)
-            if self.batched:
-                stepped = kernels.cdpsm_gradient_step(data, V, d_k)
-                X_new = kernels.project_local_sets_stacked(
-                    stepped, data.R, data.mask, cols, data.B,
-                    max_iter=self.dykstra_iter)
-            else:
-                X_new = np.empty_like(X)
-                for i in range(N):
-                    marginal = model.load_marginal_cost(
-                        data, V[i].sum(axis=0))[i]
-                    step_mat = V[i].copy()
-                    step_mat[:, i] -= d_k * marginal * data.mask[:, i]
-                    X_new[i] = project_local_set(
-                        step_mat, data.R, data.mask, i, float(data.B[i]),
-                        max_iter=self.dykstra_iter)
+            stepped = kernels.cdpsm_gradient_step(data, V, d_k)
+            X_new = kernels.project_local_sets_stacked(
+                stepped, data.R, data.mask, cols, data.B,
+                max_iter=self.dykstra_iter)
             change = float(np.max(np.abs(X_new - X)))
             X = X_new
             if rec.enabled:
@@ -205,18 +182,11 @@ class CdpsmSolver:
             comm_floats += N * (N - 1) * C * N
             residuals.append(problem.violation(mean))
             if self.track_objective:
-                if self.batched:
-                    # Repair lazily in stacked chunks (same curve values,
-                    # without a full scalar repair every iteration).
-                    pending.append(mean)
-                    if len(pending) >= 128:
-                        flush_history()
-                else:
-                    value = problem.objective(
-                        problem.repair(mean, sweeps=10))
-                    history.append(value)
-                    if rec.enabled:
-                        rec.sample("solver.objective", value, k=k)
+                # Repair lazily in stacked chunks (same curve values,
+                # without a full scalar repair every iteration).
+                pending.append(mean)
+                if len(pending) >= 128:
+                    flush_history()
             if change < tol_abs:
                 converged = True
         flush_history()

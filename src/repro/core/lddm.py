@@ -31,7 +31,6 @@ from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.solution import Solution
 from repro.core.stepsize import ConstantStep
-from repro.core.subproblem import ReplicaSubproblem, solve_replica_subproblem
 from repro.core import kernels, model
 from repro.errors import ValidationError
 from repro.obs import NULL_RECORDER
@@ -78,10 +77,8 @@ def initial_mu(problem: ReplicaSelectionProblem) -> np.ndarray:
 class LddmSolver:
     """Synchronous matrix-form execution of Algorithm 2.
 
-    ``batched=True`` (default) solves all replica columns in one
-    vectorized KKT/bisection pass per iteration
-    (:func:`repro.core.kernels.lddm_solve_columns`); the per-column
-    scalar path is kept as the reference oracle.
+    Every iteration solves all replica columns in one vectorized
+    KKT/bisection pass (:func:`repro.core.kernels.lddm_solve_columns`).
     """
 
     method = "lddm"
@@ -92,7 +89,6 @@ class LddmSolver:
                  averaging: bool = True, exact_subproblem: bool = False,
                  track_objective: bool = True,
                  warm_start_mu: bool = True,
-                 batched: bool = True,
                  recorder=None) -> None:
         self.problem = problem
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -117,7 +113,6 @@ class LddmSolver:
         self.exact_subproblem = bool(exact_subproblem)
         self.track_objective = bool(track_objective)
         self.warm_start_mu = bool(warm_start_mu)
-        self.batched = bool(batched)
         # Final dual state of the last iterations() run (cached by the
         # runtime's warm-start layer).
         self.mu_: np.ndarray | None = None
@@ -134,20 +129,7 @@ class LddmSolver:
         """One round of local subproblem solves (all replicas)."""
         data = self.problem.data
         epsilon = 0.0 if self.exact_subproblem else self.epsilon
-        if self.batched:
-            return kernels.lddm_solve_columns(data, mu, prev, epsilon)
-        P = np.zeros(data.shape)
-        for n in range(data.n_replicas):
-            eligible = data.mask[:, n]
-            if not eligible.any():
-                continue
-            sub = ReplicaSubproblem(
-                price=float(data.u[n]), alpha=float(data.alpha[n]),
-                beta=float(data.beta[n]), gamma=float(data.gamma[n]),
-                bandwidth=float(data.B[n]), mu=mu[eligible],
-                ref=prev[eligible, n], epsilon=epsilon)
-            P[eligible, n] = solve_replica_subproblem(sub)
-        return P
+        return kernels.lddm_solve_columns(data, mu, prev, epsilon)
 
     # -- main loop -----------------------------------------------------------
     def iterations(self, initial: np.ndarray | None = None,
@@ -254,18 +236,11 @@ class LddmSolver:
             comm_floats += 2 * C * N
             residuals.append(res)
             if self.track_objective:
-                if self.batched:
-                    # Repair lazily in stacked chunks (same curve values,
-                    # without a full scalar repair every iteration).
-                    pending.append(candidate)
-                    if len(pending) >= 128:
-                        flush_history()
-                else:
-                    value = problem.objective(
-                        problem.repair(candidate, sweeps=10))
-                    history.append(value)
-                    if rec.enabled:
-                        rec.sample("solver.objective", value, k=k)
+                # Repair lazily in stacked chunks (same curve values,
+                # without a full scalar repair every iteration).
+                pending.append(candidate)
+                if len(pending) >= 128:
+                    flush_history()
             if res < tol_abs and k >= 1:
                 converged = True
         flush_history()

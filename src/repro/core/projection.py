@@ -184,30 +184,6 @@ def project_demands(allocation: np.ndarray, demands: np.ndarray,
     return out
 
 
-def _project_demands_reference(allocation: np.ndarray, demands: np.ndarray,
-                               mask: np.ndarray) -> np.ndarray:
-    """Row-at-a-time reference implementation of :func:`project_demands`.
-
-    Kept as the scalar oracle for the vectorized/grouped fast paths (the
-    kernel property tests assert agreement to 1e-9); not used on any hot
-    path.
-    """
-    P = np.asarray(allocation, dtype=float)
-    R = np.asarray(demands, dtype=float)
-    M = np.asarray(mask, dtype=bool)
-    _check_demand_shapes(P, R, M)
-    out = np.zeros_like(P)
-    for c in range(P.shape[0]):
-        support = M[c]
-        if not support.any():
-            if R[c] > 0:
-                raise ValidationError(
-                    f"client {c} has positive demand but no eligible replica")
-            continue
-        out[c, support] = project_simplex(P[c, support], float(R[c]))
-    return out
-
-
 def _project_column_cap(allocation: np.ndarray, column: int,
                         cap: float) -> np.ndarray:
     """Project onto ``{P : P[:, column] >= 0, sum_c P[c, column] <= cap}``.

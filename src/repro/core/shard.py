@@ -30,15 +30,13 @@ serial, threaded and process execution are bit-identical by
 construction, which is what lets the runtime pick concurrency per
 deployment without forfeiting reproducibility.
 
-:func:`run_shard_round` is the process-pool entry point: a round's
-payload is a dict of small ``(K_s, N)`` arrays (classes, not clients —
-shipping it is cheap at any client count), the worker rebuilds the shard
-from the arrays and runs the identical ``solve_round`` code path.  The
-*persistent* worker fleet in :mod:`repro.core.shard_workers` goes one
-step further — static geometry ships once through shared memory and a
-round sends only the mutable slice — keyed off :attr:`SolveShard.
-version`, which every geometry-changing operation bumps via
-:meth:`SolveShard.touch`.
+Process execution is the worker fleet in :mod:`repro.core.shard_workers`:
+static geometry (small ``(K_s, N)`` arrays — classes, not clients) ships
+once through shared memory and a round sends only the mutable slice; the
+worker rebuilds the shard from the arrays and runs the identical
+``solve_round`` code path.  Shipments are keyed off
+:attr:`SolveShard.version`, which every geometry-changing operation
+bumps via :meth:`SolveShard.touch`.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ from repro.core.kernels import waterfill_rows
 from repro.core.warmstart import WarmStartCache
 from repro.errors import ValidationError
 
-__all__ = ["ShardRound", "SolveShard", "partition_classes",
-           "run_shard_round"]
+__all__ = ["ShardRound", "SolveShard", "partition_classes"]
 
 #: Monotone shard-geometry version source.  Versions are unique across
 #: every shard ever built in the process, so a worker-side cache keyed
@@ -348,38 +345,3 @@ class SolveShard:
                 "max_sweeps": st.max_sweeps,
             }
         return self._static_cache
-
-    def round_payload(self, background: np.ndarray,
-                      damping: float) -> dict:
-        """A picklable snapshot for :func:`run_shard_round`.
-
-        Class-space arrays only — ``(K_s, N)`` floats plus the tokens —
-        so payload size is independent of the client count; the static
-        geometry rides along from the cached snapshot, so only the
-        allocation/background/damping slice is fresh per round.
-        """
-        payload = dict(self.static_payload())
-        payload["allocation"] = self.state.Q
-        payload["background"] = np.asarray(background, dtype=float)
-        payload["damping"] = float(damping)
-        return payload
-
-
-def run_shard_round(payload: dict) -> tuple[int, np.ndarray, int, bool, bool]:
-    """Process-pool worker: rebuild the shard, run one round, return rows.
-
-    Reconstructing :class:`SolveShard` from the payload arrays and
-    calling the same :meth:`~SolveShard.solve_round` guarantees the
-    arithmetic is identical to the in-process path — the parent adopts
-    the returned rows verbatim.
-    """
-    shard = SolveShard(
-        payload["shard"], tokens=payload["tokens"],
-        demands=payload["demands"], capacities=payload["capacities"],
-        prices=payload["prices"], alpha=payload["alpha"],
-        beta=payload["beta"], gamma=payload["gamma"], mask=payload["mask"],
-        allocation=payload["allocation"], kkt_rtol=payload["kkt_rtol"],
-        max_sweeps=payload["max_sweeps"])
-    result = shard.solve_round(payload["background"], payload["damping"])
-    return (payload["shard"], shard.state.Q, result.sweeps,
-            result.converged, result.fit)

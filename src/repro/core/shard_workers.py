@@ -1,14 +1,10 @@
 """Persistent shard workers: shared-memory geometry, delta-only rounds.
 
-The original process mode rebuilt a ``ProcessPoolExecutor`` per solve
-and re-pickled every shard's full payload — static cost constants,
-masks, capacities *and* the allocation — on every exchange round.  Both
-costs are pure overhead once the plane is long-lived: the geometry only
-changes on events/migrations, and pool spin-up dwarfs a round's actual
-arithmetic at class-space sizes.
-
-This module keeps one worker pool alive across solves and splits a
-shard's state into two shipments per geometry *version* (see
+Process-mode execution of the sharded plane.  Pool spin-up and pickling
+a shard's static cost constants, masks and capacities dwarf a round's
+actual arithmetic at class-space sizes, and the geometry only changes
+on events/migrations — so one worker pool stays alive across solves and
+a shard's state is split into two shipments per geometry *version* (see
 :attr:`repro.core.shard.SolveShard.version`):
 
 * a **static block** — one pickle of the shard's tokens, demands,

@@ -28,7 +28,7 @@ The exchange protocol (one :meth:`ShardCoordinator.solve` round):
 Because each round's inputs are a single broadcast snapshot, the round
 outcome is independent of shard execution order: ``serial``, ``thread``
 and ``process`` modes are bit-identical (the process worker rebuilds the
-shard from the round payload and runs the same code path).  Events
+shard from its shipped geometry and runs the same code path).  Events
 route to exactly one shard (:meth:`ShardCoordinator.apply_event` /
 :meth:`ShardCoordinator.retarget`) and stay incremental inside it; full
 exchange rounds re-run only when the global residual drifts past the
@@ -55,7 +55,7 @@ path).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -69,7 +69,7 @@ from repro.core.incremental import (
     ClientDeparture,
     DemandChange,
 )
-from repro.core.shard import SolveShard, partition_classes, run_shard_round
+from repro.core.shard import SolveShard, partition_classes
 from repro.core.shard_workers import ShardWorkerPool
 from repro.core.solution import Solution
 from repro.core.warmstart import WarmStartCache
@@ -95,7 +95,8 @@ class ShardingConfig:
 
     ``mode`` picks shard execution: ``serial`` (deterministic reference,
     zero concurrency overhead), ``thread`` (shares the numpy kernels
-    across cores) or ``process`` (a ``concurrent.futures`` pool for
+    across cores) or ``process`` (the shared-memory worker fleet of
+    :mod:`repro.core.shard_workers`, kept alive until ``close()``, for
     large K) — all three produce bit-identical allocations.  ``tol`` is
     the global residual bound a solve converges to;
     ``refresh_residual`` is the looser bound a routed event may leave
@@ -103,11 +104,8 @@ class ShardingConfig:
     ``warm_cache_entries`` sizes each *shard-local* warm cache (``None``
     derives a fair share of the runtime's global budget).
 
-    Worker-fleet knobs: ``max_workers`` caps process/thread pool size
-    (``None`` follows the CPU affinity mask); ``persistent_workers``
-    keeps one shared-memory worker fleet alive across solves in process
-    mode (``False`` restores the per-solve pool + full-payload rounds —
-    the measured baseline).  Elasticity knobs: once the heaviest
+    ``max_workers`` caps process/thread pool size (``None`` follows the
+    CPU affinity mask).  Elasticity knobs: once the heaviest
     shard's demand exceeds ``rebalance_skew`` times the mean, routed
     events migrate up to ``rebalance_max_moves`` classes toward lighter
     shards (``rebalance_skew=None`` disables online re-partitioning).
@@ -124,7 +122,6 @@ class ShardingConfig:
     max_sweeps: int = 64
     drift_limit: float = 2.5
     max_workers: int | None = None
-    persistent_workers: bool = True
     rebalance_skew: float | None = 2.0
     rebalance_max_moves: int = 8
 
@@ -385,7 +382,6 @@ class ShardCoordinator:
         best = resid
         stall = 0
         executor = None
-        transient = None
         if len(self.shards) > 1:
             if cfg.mode == "thread":
                 if self._thread_pool is None:
@@ -394,55 +390,43 @@ class ShardCoordinator:
                                                     cfg.max_workers))
                 executor = self._thread_pool
             elif cfg.mode == "process":
-                if cfg.persistent_workers:
-                    if self._pool is None:
-                        self._pool = ShardWorkerPool(
-                            max_workers=cfg.max_workers)
-                    executor = self._pool
-                else:
-                    # The measured baseline: a fresh pool per solve,
-                    # full payload per round.
-                    transient = ProcessPoolExecutor(
-                        max_workers=resolve_workers(len(self.shards),
-                                                    cfg.max_workers))
-                    executor = transient
-        try:
-            while resid > tol and rounds < max_rounds:
-                r0 = perf_counter()
-                results = self._run_round(executor, damping)
-                round_wall = perf_counter() - r0
-                self._round_stats.append(
-                    (len(self.shards), self.max_shard_rows, round_wall))
-                rounds += 1
-                self.rounds_total += 1
-                sweeps += sum(r.sweeps for r in results)
-                resid = self.residual()
-                if resid <= 0.9 * best:
+                if self._pool is None:
+                    self._pool = ShardWorkerPool(
+                        max_workers=cfg.max_workers)
+                executor = self._pool
+        while resid > tol and rounds < max_rounds:
+            r0 = perf_counter()
+            results = self._run_round(executor, damping)
+            round_wall = perf_counter() - r0
+            self._round_stats.append(
+                (len(self.shards), self.max_shard_rows, round_wall))
+            rounds += 1
+            self.rounds_total += 1
+            sweeps += sum(r.sweeps for r in results)
+            resid = self.residual()
+            if resid <= 0.9 * best:
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 3:
+                    damping = max(0.5 * damping, 0.05)
                     stall = 0
-                else:
-                    stall += 1
-                    if stall >= 3:
-                        damping = max(0.5 * damping, 0.05)
-                        stall = 0
-                best = min(best, resid)
-                if self.recorder.enabled:
+            best = min(best, resid)
+            if self.recorder.enabled:
+                self.recorder.event(
+                    "coordinator.round", round=self.rounds_total,
+                    residual=resid, n_shards=self.n_shards,
+                    wall_s=round_wall)
+                self.recorder.sample("coordinator.residual", resid)
+                total_demand = sum(sh.demand() for sh in self.shards)
+                for r in results:
+                    sh = self.shards[r.shard]
                     self.recorder.event(
-                        "coordinator.round", round=self.rounds_total,
-                        residual=resid, n_shards=self.n_shards,
-                        wall_s=round_wall)
-                    self.recorder.sample("coordinator.residual", resid)
-                    total_demand = sum(sh.demand() for sh in self.shards)
-                    for r in results:
-                        sh = self.shards[r.shard]
-                        self.recorder.event(
-                            "shard.solve", shard=r.shard,
-                            rows=sh.n_rows, sweeps=r.sweeps,
-                            converged=r.converged,
-                            demand_share=(sh.demand() / total_demand
-                                          if total_demand > 0.0 else 0.0))
-        finally:
-            if transient is not None:
-                transient.shutdown()
+                        "shard.solve", shard=r.shard,
+                        rows=sh.n_rows, sweeps=r.sweeps,
+                        converged=r.converged,
+                        demand_share=(sh.demand() / total_demand
+                                      if total_demand > 0.0 else 0.0))
         if self.recorder.enabled and self._pool is not None:
             ds = self._pool.static_bytes - self._emitted_static
             dr = self._pool.round_bytes - self._emitted_round
@@ -469,27 +453,15 @@ class ShardCoordinator:
         the round is order-independent — the three execution modes only
         differ in where the identical arithmetic runs.
         """
-        cfg = self.config
         bgs = [self.background(s) for s in range(len(self.shards))]
         if executor is None:
             return [sh.solve_round(bgs[i], damping)
                     for i, sh in enumerate(self.shards)]
         if isinstance(executor, ShardWorkerPool):
             return executor.run_round(self.shards, bgs, damping)
-        if cfg.mode == "thread":
-            return list(executor.map(
-                lambda pair: pair[0].solve_round(pair[1], damping),
-                zip(self.shards, bgs)))
-        payloads = [sh.round_payload(bgs[i], damping)
-                    for i, sh in enumerate(self.shards)]
-        from repro.core.shard import ShardRound
-        results = []
-        for sid, Q, swp, conv, fit in executor.map(run_shard_round,
-                                                   payloads):
-            self.shards[sid].adopt(Q)
-            results.append(ShardRound(sid, self.shards[sid].loads.copy(),
-                                      swp, conv, fit))
-        return results
+        return list(executor.map(
+            lambda pair: pair[0].solve_round(pair[1], damping),
+            zip(self.shards, bgs)))
 
     # -- event / chunk routing ------------------------------------------------
     def _split_target(self, tokens: Sequence[bytes], masks: np.ndarray,
@@ -568,8 +540,7 @@ class ShardCoordinator:
         every shard force-installs its slice of the target (keeping
         warm rows where shapes allow) and bumps its geometry version.
         The plane is left *out of tolerance* on purpose — callers run
-        :meth:`solve` when ready.  The persistent-fleet benchmark uses
-        this as untimed setup between its timed consecutive solves.
+        :meth:`solve` when ready.
         """
         masks = np.asarray(masks, dtype=bool)
         demands = np.asarray(demands, dtype=float)
@@ -581,12 +552,6 @@ class ShardCoordinator:
             k0 = sh.state.n_classes
             sh.state.force_target(*split[s])
             self._touch_after(sh, k0)
-
-    def force_retarget(self, tokens: Sequence[bytes], masks: np.ndarray,
-                       demands: np.ndarray) -> CoordinatorResult:
-        """:meth:`install_target` followed by a full :meth:`solve`."""
-        self.install_target(tokens, masks, demands)
-        return self.solve()
 
     def _recover(self, split: list, reason: str) -> RoutedResult:
         """A shard declined: force-target everything, re-fill with rounds."""

@@ -154,9 +154,6 @@ class DistributedSolveSession:
     algorithm: ``"lddm"`` or ``"cdpsm"``.
     nodes: the emulated nodes, for activity/power bookkeeping.
     timing: per-iteration computation model.
-    batched: use the stacked numpy kernels (:mod:`repro.core.kernels`)
-        for the per-iteration numeric work; the scalar per-replica path
-        remains available for oracle runs (``batched=False``).
     aggregation: optional class-space reduction of ``problem``
         (:class:`~repro.core.aggregate.AggregatedProblem`).  When given,
         the numeric iterations run on the reduced K-row instance —
@@ -191,7 +188,6 @@ class DistributedSolveSession:
                  algorithm: str,
                  nodes: dict[str, ReplicaNode] | None = None,
                  timing: SolveTimingModel | None = None,
-                 batched: bool = True,
                  aggregation: AggregatedProblem | None = None,
                  initial: np.ndarray | None = None,
                  mu0: np.ndarray | None = None,
@@ -219,7 +215,6 @@ class DistributedSolveSession:
         self.nodes = nodes or {}
         self.timing = timing or SolveTimingModel()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        solver_kwargs.setdefault("batched", batched)
         solver_kwargs.setdefault("recorder", self.recorder)
         if algorithm == "lddm":
             self.solver = LddmSolver(self._solve_problem,

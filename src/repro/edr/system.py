@@ -227,35 +227,18 @@ class FaultConfig:
             raise ValidationError("standby_after must be positive")
 
 
-#: Flat RuntimeConfig keyword -> the sub-config it migrated into.
-_FLAT_TO_SUB: dict[str, str] = {
-    **{f.name: "solver" for f in dataclasses.fields(SolverOptions)},
-    **{f.name: "net" for f in dataclasses.fields(NetConfig)},
-    **{f.name: "faults" for f in dataclasses.fields(FaultConfig)},
-}
-
-_UNSET = object()
-
-
+@dataclass(kw_only=True, eq=False)
 class RuntimeConfig:
     """Scenario knobs for one runtime experiment.
 
-    The documented constructor takes the three composable sub-configs::
+    Composed of the three sub-configs::
 
         RuntimeConfig(solver=SolverOptions(algorithm="cdpsm"),
                       net=NetConfig(bandwidth=50.0),
                       faults=FaultConfig(heartbeats=True),
                       prices=(1, 8, 1))
 
-    plus the scenario-level fields below.  Every field of a sub-config is
-    also readable (and assignable) as a flat attribute on the config —
-    ``cfg.algorithm`` is ``cfg.solver.algorithm`` — so downstream code
-    never chases nesting.  Passing those fields as *flat constructor
-    keywords* (``RuntimeConfig(algorithm="cdpsm")``) still works but is
-    deprecated: it emits a :class:`DeprecationWarning` naming the
-    offending keywords and folds them into the sub-configs.
-
-    Scenario-level fields (not part of any sub-config):
+    plus the scenario-level fields below.
 
     * ``prices`` — per-replica electricity prices (also fixes N);
     * ``alpha``/``beta``/``gamma`` — the paper's energy-model constants;
@@ -270,90 +253,36 @@ class RuntimeConfig:
     * ``horizon`` — safety cap on simulated seconds.
     """
 
-    def __init__(self, *, solver: SolverOptions | None = None,
-                 net: NetConfig | None = None,
-                 faults: FaultConfig | None = None,
-                 prices: Sequence[float] = (1, 8, 1, 6, 1, 5, 2, 3),
-                 alpha: float = PAPER_ALPHA, beta: float = PAPER_BETA,
-                 gamma: float = PAPER_GAMMA,
-                 power_model: PowerModel = SYSTEMG_POWER_MODEL,
-                 pdu_rate_hz: float = 50.0, poll_interval: float = 0.02,
-                 batch_capacity_fraction: float = 0.8,
-                 price_schedule: "PriceSchedule | None" = None,
-                 solve_with_stale_prices: bool = False,
-                 recorder: "object | None" = None,
-                 horizon: float = 100000.0, **flat) -> None:
-        overrides: dict[str, dict] = {"solver": {}, "net": {}, "faults": {}}
-        for key, value in flat.items():
-            sub = _FLAT_TO_SUB.get(key)
-            if sub is None:
-                raise TypeError(
-                    f"RuntimeConfig got an unexpected keyword argument "
-                    f"{key!r}")
-            overrides[sub][key] = value
-        if flat:
-            import warnings
-            warnings.warn(
-                f"flat RuntimeConfig keyword(s) {sorted(flat)} are "
-                f"deprecated; pass them via the "
-                f"SolverOptions/NetConfig/FaultConfig sub-configs "
-                f"(e.g. RuntimeConfig(solver=SolverOptions(...)))",
-                DeprecationWarning, stacklevel=2)
-        self.solver = dataclasses.replace(
-            solver if solver is not None else SolverOptions(),
-            **overrides["solver"])
-        self.net = dataclasses.replace(
-            net if net is not None else NetConfig(), **overrides["net"])
-        self.faults = dataclasses.replace(
-            faults if faults is not None else FaultConfig(),
-            **overrides["faults"])
-        self.prices = prices
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.power_model = power_model
-        self.pdu_rate_hz = pdu_rate_hz
-        self.poll_interval = poll_interval
-        self.batch_capacity_fraction = batch_capacity_fraction
-        self.price_schedule = price_schedule
-        self.solve_with_stale_prices = solve_with_stale_prices
-        self.recorder = recorder
-        self.horizon = horizon
-        self._validate()
+    solver: SolverOptions = field(default_factory=SolverOptions)
+    net: NetConfig = field(default_factory=NetConfig)
+    faults: FaultConfig = field(default_factory=FaultConfig)
+    prices: Sequence[float] = (1, 8, 1, 6, 1, 5, 2, 3)
+    alpha: float = PAPER_ALPHA
+    beta: float = PAPER_BETA
+    gamma: float = PAPER_GAMMA
+    power_model: PowerModel = SYSTEMG_POWER_MODEL
+    pdu_rate_hz: float = 50.0
+    poll_interval: float = 0.02
+    batch_capacity_fraction: float = 0.8
+    price_schedule: "PriceSchedule | None" = None
+    solve_with_stale_prices: bool = False
+    recorder: "object | None" = None
+    horizon: float = 100000.0
 
-    @classmethod
-    def from_flat(cls, **kwargs) -> "RuntimeConfig":
-        """Build a config from flat keywords without the deprecation shim.
-
-        The programmatic constructor for callers holding a flat option
-        dict (experiment sweeps, CLI argument namespaces): migrated
-        keys fold into their sub-configs silently, everything else
-        passes through.  Explicit ``solver=``/``net=``/``faults=``
-        sub-configs may be mixed in; flat keys override their fields.
-        """
-        subs: dict[str, dict] = {"solver": {}, "net": {}, "faults": {}}
-        direct: dict = {}
-        for key, value in kwargs.items():
-            sub = _FLAT_TO_SUB.get(key)
-            if sub is None:
-                direct[key] = value
-            else:
-                subs[sub][key] = value
-        for name, klass in (("solver", SolverOptions), ("net", NetConfig),
-                            ("faults", FaultConfig)):
-            base = direct.pop(name, None)
-            if subs[name] or base is not None:
-                direct[name] = dataclasses.replace(
-                    base if base is not None else klass(), **subs[name])
-        return cls(**direct)
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         """Cross-field checks spanning sub-configs and scenario fields."""
-        if self.algorithm == "weighted":
-            if self.weights is None or len(self.weights) != len(self.prices):
+        # Private copies: configs built from one SolverOptions/NetConfig
+        # instance stay independent (a non-dataclass here is a TypeError).
+        self.solver = dataclasses.replace(self.solver)
+        self.net = dataclasses.replace(self.net)
+        self.faults = dataclasses.replace(self.faults)
+        solver, net = self.solver, self.net
+        if solver.algorithm == "weighted":
+            if solver.weights is None \
+                    or len(solver.weights) != len(self.prices):
                 raise ValidationError(
                     "weighted scheduling needs one weight per replica")
-            if min(self.weights) < 0 or sum(self.weights) <= 0:
+            if min(solver.weights) < 0 or sum(solver.weights) <= 0:
                 raise ValidationError("weights must be nonnegative, not all 0")
         if not 0 < self.batch_capacity_fraction <= 1:
             raise ValidationError("batch_capacity_fraction must be in (0, 1]")
@@ -361,46 +290,22 @@ class RuntimeConfig:
                 and self.price_schedule.n_replicas != len(self.prices):
             raise ValidationError(
                 "price_schedule replica count must match prices length")
-        if self.bandwidths is not None \
-                and len(self.bandwidths) != len(self.prices):
+        if net.bandwidths is not None \
+                and len(net.bandwidths) != len(self.prices):
             raise ValidationError(
                 "bandwidths must have one entry per replica")
 
-    def __repr__(self) -> str:
-        return (f"RuntimeConfig(solver={self.solver!r}, net={self.net!r}, "
-                f"faults={self.faults!r}, prices={self.prices!r})")
-
     def replica_bandwidths(self):
         """Per-replica NIC capacities as an array."""
-        import numpy as _np
-        if self.bandwidths is not None:
-            return _np.asarray(self.bandwidths, dtype=float)
-        return _np.full(len(self.prices), float(self.bandwidth))
+        if self.net.bandwidths is not None:
+            return np.asarray(self.net.bandwidths, dtype=float)
+        return np.full(len(self.prices), float(self.net.bandwidth))
 
     def prices_at(self, t: float):
         """Per-replica prices the *scheduler* sees at simulated time ``t``."""
         if self.price_schedule is not None and not self.solve_with_stale_prices:
             return self.price_schedule.prices_at(t)
-        import numpy as _np
-        return _np.asarray(self.prices, dtype=float)
-
-
-def _mirror_flat(sub: str, name: str) -> property:
-    """A flat RuntimeConfig attribute reading/writing through a sub-config."""
-    def _get(self):
-        return getattr(getattr(self, sub), name)
-
-    def _set(self, value):
-        setattr(getattr(self, sub), name, value)
-
-    return property(_get, _set, doc=f"Mirror of ``{sub}.{name}``.")
-
-
-for _sub_name, _sub_cls in (("solver", SolverOptions), ("net", NetConfig),
-                            ("faults", FaultConfig)):
-    for _f in dataclasses.fields(_sub_cls):
-        setattr(RuntimeConfig, _f.name, _mirror_flat(_sub_name, _f.name))
-del _sub_name, _sub_cls, _f
+        return np.asarray(self.prices, dtype=float)
 
 
 class EDRSystem:
@@ -411,6 +316,7 @@ class EDRSystem:
                  topology: Topology | None = None) -> None:
         self.config = config or RuntimeConfig()
         cfg = self.config
+        opts = cfg.solver
         self.recorder = cfg.recorder if cfg.recorder is not None \
             else NULL_RECORDER
         self.trace = trace
@@ -427,22 +333,23 @@ class EDRSystem:
         all_nodes = self.replica_names + self.client_names
         if topology is not None:
             self.topology = topology
-        elif cfg.bandwidths is None:
+        elif cfg.net.bandwidths is None:
             self.topology = Topology.lan(
-                all_nodes, latency=cfg.lan_latency, capacity=cfg.bandwidth)
+                all_nodes, latency=cfg.net.lan_latency,
+                capacity=cfg.net.bandwidth)
         else:
             n_all = len(all_nodes)
-            lat = np.full((n_all, n_all), float(cfg.lan_latency))
+            lat = np.full((n_all, n_all), float(cfg.net.lan_latency))
             np.fill_diagonal(lat, 0.0)
             caps = np.concatenate([cfg.replica_bandwidths(),
                                    np.full(len(self.client_names),
-                                           float(cfg.bandwidth))])
+                                           float(cfg.net.bandwidth))])
             self.topology = Topology(all_nodes, lat, caps)
         self.network = Network(self.sim, self.topology,
                                recorder=self.recorder)
         self.flows = FlowManager(self.sim, self.topology,
                                  crashed=self.network.is_crashed,
-                                 kernel=cfg.flow_kernel,
+                                 kernel=cfg.net.flow_kernel,
                                  recorder=self.recorder)
         self.faults = FaultInjector(self.sim, self.network, self.flows,
                                     on_restore=self._on_node_restored)
@@ -464,10 +371,11 @@ class EDRSystem:
         self.ring = MembershipRing(list(self.replica_names),
                                    recorder=self.recorder)
         self.heartbeats = None
-        if cfg.heartbeats:
+        if cfg.faults.heartbeats:
             self.heartbeats = HeartbeatProtocol(
                 self.sim, self.network, self.ring,
-                interval=cfg.hb_interval, timeout=cfg.hb_timeout)
+                interval=cfg.faults.hb_interval,
+                timeout=cfg.faults.hb_timeout)
 
         # -- agents -------------------------------------------------------------
         self._batch: list[dict] = []
@@ -491,7 +399,7 @@ class EDRSystem:
                 stats=self.stats,
                 on_transfer_event=self._on_transfer_event,
                 on_delivered=self._on_delivered,
-                coalesce=cfg.coalesce, recorder=self.recorder)
+                coalesce=cfg.net.coalesce, recorder=self.recorder)
         # Crash hook: when the network declares a node crashed, take it off
         # the ring immediately unless heartbeats are doing the detection.
         self._batches_solved = 0
@@ -508,8 +416,8 @@ class EDRSystem:
         # Cross-batch warm-start state (LDDM/CDPSM): cache of converged
         # allocations + duals, the adaptive iteration budget, and the live
         # set the cache was built against (membership change -> flush).
-        self._warm_cache = WarmStartCache(max_entries=cfg.warm_cache_entries)
-        self._warm_budget = AdaptiveBudget(floor=cfg.warm_budget_floor)
+        self._warm_cache = WarmStartCache(max_entries=opts.warm_cache_entries)
+        self._warm_budget = AdaptiveBudget(floor=opts.warm_budget_floor)
         self._warm_live: tuple[str, ...] = tuple(self.ring.live)
         self._warm_solves = 0
         self._cold_solves = 0
@@ -535,21 +443,21 @@ class EDRSystem:
         self._shard_fallbacks = 0
         self._shard_migrations = 0
         self._shard_caches: list[WarmStartCache] | None = None
-        if cfg.sharding is not None:
-            per_shard = cfg.sharding.warm_cache_entries \
-                if cfg.sharding.warm_cache_entries is not None \
-                else max(1, cfg.warm_cache_entries // cfg.sharding.n_shards)
+        if opts.sharding is not None:
+            per_shard = opts.sharding.warm_cache_entries \
+                if opts.sharding.warm_cache_entries is not None \
+                else max(1, opts.warm_cache_entries // opts.sharding.n_shards)
             self._shard_caches = [WarmStartCache(max_entries=per_shard)
-                                  for _ in range(cfg.sharding.n_shards)]
+                                  for _ in range(opts.sharding.n_shards)]
             # The runtime-level worker budget flows into the shard
             # config unless the latter pins its own.
-            self._shard_cfg = cfg.sharding
-            if cfg.max_workers is not None \
-                    and cfg.sharding.max_workers is None:
+            self._shard_cfg = opts.sharding
+            if opts.max_workers is not None \
+                    and opts.sharding.max_workers is None:
                 self._shard_cfg = dataclasses.replace(
-                    cfg.sharding, max_workers=cfg.max_workers)
-        if cfg.standby_after is not None:
-            if cfg.standby_after <= 0:
+                    opts.sharding, max_workers=opts.max_workers)
+        if cfg.faults.standby_after is not None:
+            if cfg.faults.standby_after <= 0:
                 raise ValidationError("standby_after must be positive")
             for name in self.replica_names:
                 self.sim.process(self._standby_watchdog(name))
@@ -559,7 +467,7 @@ class EDRSystem:
         """Drop ``name`` into standby after a sustained idle stretch."""
         from repro.cluster.node import NodeActivity
         node = self.nodes[name]
-        timeout = self.config.standby_after
+        timeout = self.config.faults.standby_after
         idle_since = self.sim.now
         prev = node.activity
         while True:
@@ -618,7 +526,7 @@ class EDRSystem:
         live_bw = self._live_bandwidths()
         cap = self.config.batch_capacity_fraction \
             * float(live_bw.sum() if live_bw.size else
-                    self.config.bandwidth)
+                    self.config.net.bandwidth)
         chunks: list[list[dict]] = []
         current: list[dict] = []
         load = 0.0
@@ -642,7 +550,7 @@ class EDRSystem:
             demands[item["client"]] = demands.get(item["client"], 0.0) \
                 + item["size"]
         clients = sorted(demands)
-        mask = self.topology.eligibility(clients, live, cfg.max_latency)
+        mask = self.topology.eligibility(clients, live, cfg.net.max_latency)
         now_prices = cfg.prices_at(self.sim.now)
         data = ProblemData(
             demands=[demands[c] for c in clients],
@@ -659,7 +567,7 @@ class EDRSystem:
         dropped and their mass redistributed proportionally over the kept
         replicas (see :class:`RuntimeConfig`).
         """
-        min_frac = self.config.min_share_fraction
+        min_frac = self.config.net.min_share_fraction
         out: dict[str, dict] = {}
         for item in chunk:
             c_idx = clients.index(item["client"])
@@ -699,18 +607,19 @@ class EDRSystem:
 
     def _schedule_chunk(self, chunk: list[dict]):
         cfg = self.config
+        opts = cfg.solver
         live = self.ring.live
         problem, clients, demands = self._build_problem(chunk)
-        if cfg.algorithm == "weighted":
+        if opts.algorithm == "weighted":
             # Static proportional split: every request divided by the
             # fixed weights over its *eligible* replicas.  One RTT of
             # decision latency, like round-robin.
-            yield self.sim.timeout(2 * cfg.lan_latency + 1e-4)
-            w_all = np.asarray(cfg.weights, dtype=float)
+            yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
+            w_all = np.asarray(opts.weights, dtype=float)
             assignments = {}
             for item in chunk:
                 elig = self.topology.eligibility(
-                    [item["client"]], live, cfg.max_latency)[0]
+                    [item["client"]], live, cfg.net.max_latency)[0]
                 w = np.array([w_all[self.replica_names.index(r)]
                               for r in live]) * elig
                 if w.sum() <= 0:
@@ -730,7 +639,7 @@ class EDRSystem:
                     "client": item["client"],
                     "shares": {live[n]: float(w[n] * item["size"])
                                for n in range(len(live)) if w[n] > 0}}
-        elif cfg.algorithm == "round_robin":
+        elif opts.algorithm == "round_robin":
             # Per-request cyclic assignment; one RTT of decision latency.
             # The scheduler persists across batches (cursor + commitments)
             # but is rebuilt if the live replica set changed.
@@ -739,10 +648,10 @@ class EDRSystem:
                     live, self._live_bandwidths(),
                     eligibility={
                         c: self.topology.eligibility(
-                            [c], live, cfg.max_latency)[0]
+                            [c], live, cfg.net.max_latency)[0]
                         for c in self.client_names})
             sched = self._rr_sched
-            yield self.sim.timeout(2 * cfg.lan_latency + 1e-4)
+            yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
             assignments = {}
             for item in chunk:
                 from repro.workload.requests import Request
@@ -758,18 +667,18 @@ class EDRSystem:
             # steps reach a good neighborhood quickly; exact convergence
             # is not worth the decision latency at runtime).
             kwargs = {"max_iter": 150, "tol": 1e-3} \
-                if cfg.algorithm == "lddm" else {"max_iter": 100, "tol": 1e-4}
-            kwargs.update(cfg.solver_kwargs)
+                if opts.algorithm == "lddm" else {"max_iter": 100, "tol": 1e-4}
+            kwargs.update(opts.solver_kwargs)
             # Class-space reduction: the solver (and the warm-start cache)
             # see one row per distinct eligibility pattern instead of one
             # per client; cache entries are keyed by the classes' packed
             # mask tokens, which outlive any particular client set.
-            agg = problem.aggregated() if cfg.aggregate else None
+            agg = problem.aggregated() if opts.aggregate else None
             # Sharded control plane: the chunk retargets each shard's
             # own class rows against the other shards' loads; full
             # dual-price exchange rounds run only when the plane is
             # (re)built or the global residual drifts.
-            if cfg.sharding is not None and agg is not None:
+            if opts.sharding is not None and agg is not None:
                 yield from self._schedule_chunk_sharded(
                     chunk, clients, demands, problem, agg, live)
                 return
@@ -779,8 +688,8 @@ class EDRSystem:
             # The state is keyed to (live, prices) exactly like a warm
             # cache entry; any decline drops it and takes the batch path.
             inc_key = (tuple(live), problem.data.u.tobytes())
-            if (cfg.incremental and agg is not None
-                    and len(clients) <= cfg.incremental_max_clients
+            if (opts.incremental and agg is not None
+                    and len(clients) <= opts.incremental_max_clients
                     and self._inc_state is not None
                     and self._inc_key == inc_key):
                 result = self._inc_state.retarget(
@@ -789,14 +698,14 @@ class EDRSystem:
                 if result.ok:
                     # One RTT to the lead plus the O(K*N) update — no
                     # per-iteration solve rounds over the network.
-                    delay = 2 * cfg.lan_latency + cfg.timing.event_time(
+                    delay = 2 * cfg.net.lan_latency + opts.timing.event_time(
                         result.events, result.sweeps)
                     yield self.sim.timeout(delay)
                     tokens = list(agg.structure.keys)
                     rows = self._inc_state.rows_for(tokens)
                     self._inc_chunks += 1
                     self._inc_events += result.events
-                    if cfg.warm_start:
+                    if opts.warm_start:
                         # Keep the warm layer coherent: the next *batch*
                         # solve warm-starts from the updated allocation.
                         self._warm_cache.store(
@@ -828,7 +737,7 @@ class EDRSystem:
             warm_tokens = clients if agg is None else list(agg.structure.keys)
             warm_mask = solve_problem.data.mask
             initial = mu0 = None
-            if cfg.warm_start:
+            if opts.warm_start:
                 if tuple(live) != self._warm_live:
                     # Membership changed (death or rejoin): every cached
                     # allocation is stale — flush and cold start.
@@ -841,15 +750,15 @@ class EDRSystem:
                 if entry is not None:
                     initial = project_warm_start(entry, solve_problem,
                                                  warm_tokens)
-                    if cfg.algorithm == "lddm":
+                    if opts.algorithm == "lddm":
                         mu0 = recover_mu(solve_problem, initial)
             warm = initial is not None
             base_iter = int(kwargs["max_iter"])
-            if cfg.warm_start and cfg.adaptive_budget:
+            if opts.warm_start and opts.adaptive_budget:
                 kwargs["max_iter"] = self._warm_budget.budget(base_iter, warm)
             session = DistributedSolveSession(
                 self.sim, self.network, problem, live, clients,
-                cfg.algorithm, nodes=self.nodes, timing=cfg.timing,
+                opts.algorithm, nodes=self.nodes, timing=opts.timing,
                 aggregation=agg, initial=initial, mu0=mu0,
                 recorder=self.recorder, **kwargs)
             yield from session.run()
@@ -864,13 +773,13 @@ class EDRSystem:
                 rec.count("warmstart.hit" if warm else "warmstart.miss")
                 rec.event(
                     "runtime.batch", sim_time=self.sim.now,
-                    algorithm=cfg.algorithm, n_requests=len(chunk),
+                    algorithm=opts.algorithm, n_requests=len(chunk),
                     n_clients=len(clients),
                     n_classes=None if agg is None else agg.n_classes,
                     iterations=session.iterations,
                     converged=session.converged, warm_started=warm,
                     solve_sim_s=session.duration)
-            if cfg.warm_start:
+            if opts.warm_start:
                 self._warm_budget.observe(
                     session.iterations, int(kwargs["max_iter"]),
                     session.converged, warm)
@@ -884,14 +793,14 @@ class EDRSystem:
                 self._busy_end[r] = max(self._busy_end[r], self.sim.now)
             assignments = self._shares_per_request(
                 chunk, clients, demands, session.allocation, live)
-            if cfg.incremental and agg is not None:
+            if opts.incremental and agg is not None:
                 # Rebuild the event state from the converged class-space
                 # allocation; subsequent small sub-batches at the same
                 # (live, prices) key are absorbed as events.
                 self._inc_state = IncrementalState(
                     solve_problem.data, list(agg.structure.keys),
                     session.solver_allocation,
-                    drift_limit=cfg.incremental_drift_limit)
+                    drift_limit=opts.incremental_drift_limit)
                 self._inc_key = inc_key
         self._announce(assignments)
 
@@ -908,6 +817,7 @@ class EDRSystem:
         round actually run.
         """
         cfg = self.config
+        opts = cfg.solver
         rec = self.recorder
         key = (tuple(live), problem.data.u.tobytes())
         tokens = list(agg.structure.keys)
@@ -925,11 +835,11 @@ class EDRSystem:
             coord = ShardCoordinator(
                 agg.problem.data, tokens, self._shard_cfg,
                 warm_caches=self._shard_caches, recorder=rec)
-            warm = cfg.warm_start and coord.warm_seed(live, problem.data.u)
+            warm = opts.warm_start and coord.warm_seed(live, problem.data.u)
             res = coord.solve()
             self._shard_coord = coord
             self._shard_key = key
-            if cfg.warm_start:
+            if opts.warm_start:
                 coord.store_warm(live, problem.data.u, res.rounds,
                                  res.converged)
             if warm:
@@ -947,12 +857,12 @@ class EDRSystem:
             fallback_reason = out.fallback_reason
             if fallback_reason is not None:
                 self._shard_fallbacks += 1
-            if cfg.warm_start and refreshed:
+            if opts.warm_start and refreshed:
                 coord.store_warm(live, problem.data.u, rounds, True)
-        delay = 2 * cfg.lan_latency \
-            + cfg.timing.event_time(events, sweeps) \
-            + rounds * cfg.timing.round_time(coord.max_shard_rows,
-                                             cfg.lan_latency)
+        delay = 2 * cfg.net.lan_latency \
+            + opts.timing.event_time(events, sweeps) \
+            + rounds * opts.timing.round_time(coord.max_shard_rows,
+                                              cfg.net.lan_latency)
         yield self.sim.timeout(delay)
         self._shard_chunks += 1
         self._shard_events += events
@@ -991,7 +901,7 @@ class EDRSystem:
         per_client: dict[str, dict] = {}
         for uid, entry in assignments.items():
             per_client.setdefault(entry["client"], {})[uid] = entry["shares"]
-        coalesce = self.config.coalesce
+        coalesce = self.config.net.coalesce
         for cname, shares in per_client.items():
             by_replica = None
             if coalesce:
@@ -1016,7 +926,7 @@ class EDRSystem:
         """
         def _do():
             self.faults.crash(name)
-            if not self.config.heartbeats:
+            if not self.config.faults.heartbeats:
                 self.ring.mark_dead(name)
         self.sim.call_at(at, _do)
 
@@ -1078,7 +988,7 @@ class EDRSystem:
             s.meter.profile.integrate_between(0.0, makespan)
             for s in self.sites])
         return ExperimentResult(
-            method=cfg.algorithm, app=app,
+            method=cfg.solver.algorithm, app=app,
             joules_by_replica=joules, cents_by_replica=cents,
             makespan=makespan,
             response_times=list(self.stats.samples),

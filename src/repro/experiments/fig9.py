@@ -44,7 +44,6 @@ __all__ = ["Fig9Result", "run", "run_point", "DEFAULT_REQUEST_COUNTS",
            "ShardScalingResult", "run_sharded_point",
            "run_sharded_scaling", "ShardEventResult",
            "run_sharded_events", "DEFAULT_SHARD_CLIENTS",
-           "FleetResult", "run_persistent_fleet",
            "SkewResult", "run_elastic_skew"]
 
 DEFAULT_REQUEST_COUNTS = (24, 48, 72, 96, 120, 144, 168, 192)
@@ -778,152 +777,7 @@ def run_sharded_events(n_clients: int = 100_000, n_events: int = 200,
         final_residual=coord.residual())
 
 
-# -- persistent worker fleet & elasticity (the long-lived-plane regime) -------
-
-@dataclass
-class FleetResult:
-    """Persistent worker fleet vs per-solve pool across consecutive solves.
-
-    One :func:`run_persistent_fleet` run drives the *same* retarget +
-    solve cycles through three coordinators — process mode with the
-    persistent shared-memory fleet, process mode with the legacy
-    per-solve pool, and the serial reference — on one long-lived
-    coordinator each.  ``round_bytes_per_solve`` / ``rounds_per_solve``
-    come from the fleet's shipped-byte accounting: their ratio is the
-    per-round wire cost, which must not grow with how many rounds a
-    solve runs (the delta-only contract).
-    """
-
-    n_clients: int
-    n_classes: int
-    n_shards: int
-    fleet_walls: list[float]         # persistent fleet, per cycle
-    baseline_walls: list[float]      # per-solve pool, per cycle
-    serial_identical: bool           # fleet rows == serial rows, bitwise
-    static_bytes: int                # geometry shipped (all versions)
-    round_bytes: int                 # delta bytes across all rounds
-    rounds_shipped: int
-    reships: int
-    round_bytes_per_solve: list[int]
-    rounds_per_solve: list[int]
-
-    @property
-    def n_solves(self) -> int:
-        return len(self.fleet_walls)
-
-    def speedup(self) -> float:
-        """Per-solve-pool total wall over persistent-fleet total wall."""
-        return sum(self.baseline_walls) / max(sum(self.fleet_walls), 1e-12)
-
-    def bytes_per_round(self) -> list[float]:
-        """Mean shipped bytes per exchange round, one entry per solve."""
-        return [b / r for b, r in zip(self.round_bytes_per_solve,
-                                      self.rounds_per_solve) if r > 0]
-
-    def render(self) -> str:
-        bpr = self.bytes_per_round()
-        spread = (f"{min(bpr):.0f}..{max(bpr):.0f} B/round"
-                  if bpr else "n/a")
-        return "\n".join([
-            ("Fig. 9 extension — persistent worker fleet vs per-solve "
-             f"pool ({self.n_shards} shards, {self.n_solves} solves)"),
-            (f"clients {self.n_clients}  classes {self.n_classes}  "
-             f"fleet {sum(self.fleet_walls) * 1000:.1f} ms   "
-             f"baseline {sum(self.baseline_walls) * 1000:.1f} ms   "
-             f"speedup {self.speedup():.1f}x"),
-            (f"static {self.static_bytes} B ({self.reships} reships)   "
-             f"delta {spread} over {self.rounds_shipped} rounds   "
-             f"serial bit-identical: "
-             f"{'yes' if self.serial_identical else 'NO'}"),
-        ])
-
-
-def run_persistent_fleet(n_clients: int = 20_000, n_solves: int = 8,
-                         n_shards: int = 2, seed: int = 2013,
-                         target_seed: int = 29, n_replicas: int = 6,
-                         n_patterns: int = 12, perturbation: float = 0.02,
-                         tol: float = 1e-6,
-                         max_workers: int | None = 2) -> FleetResult:
-    """Time consecutive solves on one coordinator, fleet vs per-solve pool.
-
-    Builds the widened fig9-style instance once, converges a warm-up
-    solve (both process variants pay their first pool spin-up there),
-    then drives ``n_solves`` identical cycles — a demand retarget drawn
-    from a fixed-seed perturbation, followed by exchange rounds back to
-    tolerance — through each coordinator.  The persistent fleet keeps
-    its workers and shared-memory geometry across cycles; the baseline
-    re-creates its pool and re-pickles full payloads inside every solve.
-    The serial reference pins bit-identity of the final allocation.
-
-    The defaults deliberately pick the regime this optimisation exists
-    for: mild retargets (``perturbation``) that re-converge in one or
-    two exchange rounds at a practical tolerance (``tol``), so a
-    per-solve pool's spin-up and full-payload pickling — not the shared
-    round arithmetic — dominate each cycle's wall time.
-    """
-    import time
-
-    if n_solves < 1:
-        raise ValidationError("n_solves must be positive")
-    if not 0.0 < perturbation < 1.0:
-        raise ValidationError("perturbation must be in (0, 1)")
-    problem = scaling_problem(int(n_clients), seed=int(seed),
-                              n_replicas=int(n_replicas),
-                              n_patterns=int(n_patterns))
-    data = problem.data
-    structure = ClassStructure.from_mask(data.mask, data.R)
-    reduced = structure.reduce_data(data)
-    tokens = list(structure.keys)
-    rng = make_rng(int(target_seed))
-    # Mild perturbations: each solve re-converges in a few exchange
-    # rounds, the regime where per-solve pool spin-up dominates.
-    lo, hi = 1.0 - float(perturbation), 1.0 + float(perturbation)
-    targets = [structure.demands
-               * rng.uniform(lo, hi, size=len(tokens))
-               for _ in range(int(n_solves))]
-
-    def cycle(mode: str, persistent: bool):
-        cfg = ShardingConfig(n_shards=int(n_shards), mode=mode,
-                             persistent_workers=persistent,
-                             max_workers=max_workers)
-        walls, dbytes, drounds = [], [], []
-        with ShardCoordinator(reduced, tokens, cfg) as coord:
-            coord.solve()
-            for target in targets:
-                # Target installation is identical parent-side work in
-                # every variant — only the solve itself is timed.
-                coord.install_target(tokens, structure.masks, target)
-                pool = coord.worker_pool
-                b0 = ((pool.round_bytes, pool.rounds_shipped)
-                      if pool else (0, 0))
-                t0 = time.perf_counter()
-                coord.solve(tol=float(tol))
-                walls.append(time.perf_counter() - t0)
-                pool = coord.worker_pool
-                b1 = ((pool.round_bytes, pool.rounds_shipped)
-                      if pool else (0, 0))
-                dbytes.append(b1[0] - b0[0])
-                drounds.append(b1[1] - b0[1])
-            rows = coord.rows_for(tokens)
-            pool = coord.worker_pool
-            stats = ((pool.static_bytes, pool.round_bytes,
-                      pool.rounds_shipped, pool.reships)
-                     if pool else (0, 0, 0, 0))
-        return walls, rows, dbytes, drounds, stats
-
-    fleet_walls, fleet_rows, dbytes, drounds, stats = cycle("process", True)
-    baseline_walls, baseline_rows, _, _, _ = cycle("process", False)
-    _, serial_rows, _, _, _ = cycle("serial", True)
-    identical = bool(np.array_equal(fleet_rows, serial_rows)
-                     and np.array_equal(baseline_rows, serial_rows))
-    return FleetResult(
-        n_clients=int(n_clients), n_classes=len(tokens),
-        n_shards=int(n_shards), fleet_walls=fleet_walls,
-        baseline_walls=baseline_walls, serial_identical=identical,
-        static_bytes=stats[0], round_bytes=stats[1],
-        rounds_shipped=stats[2], reships=stats[3],
-        round_bytes_per_solve=dbytes, rounds_per_solve=drounds)
-
+# -- elasticity (the long-lived-plane regime) ---------------------------------
 
 @dataclass
 class SkewResult:

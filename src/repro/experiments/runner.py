@@ -96,7 +96,7 @@ def run_one(name: str, args, recorder=None) -> str:
 
 
 def _reports_dir():
-    """The bench-report ledger directory (created on demand)."""
+    """The bench-report directory (created on demand)."""
     from pathlib import Path
     root = Path(__file__).resolve().parents[3]
     reports = root / "benchmarks" / "reports"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.experiments.scenarios import Scenario, make_trace
 
 __all__ = ["run_runtime", "ALGORITHMS"]
@@ -20,8 +20,8 @@ def run_runtime(scenario: Scenario, algorithm: str,
     ``keep_system`` is true (for power-profile extraction).
     """
     trace = make_trace(scenario, seed=seed)
-    cfg = RuntimeConfig.from_flat(
-        algorithm=algorithm,
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm=algorithm),
         prices=tuple(prices) if prices is not None else scenario.prices,
         batch_capacity_fraction=config_kwargs.pop(
             "batch_capacity_fraction", 0.35),

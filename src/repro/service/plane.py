@@ -28,7 +28,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.aggregate import ClassStructure
-from repro.core.api import ALGORITHMS, solve as core_solve
+from repro.core.api import ALGORITHMS, _option_names, solve as core_solve
 from repro.core.incremental import ClientArrival, ClientDeparture, \
     DemandChange, IncrementalState
 from repro.core.params import (
@@ -148,6 +148,12 @@ class InProcessControlPlane:
         if algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        # ``step`` is a callable schedule; JSON cannot carry one.
+        allowed = _option_names(algorithm) - {"step"}
+        unknown = sorted(set(request.options) - allowed)
+        if unknown:
+            raise ValidationError(
+                f"unknown {algorithm} solver option(s) {unknown}")
         aggregate = bool(request.aggregate) and algorithm != "reference"
         clients = request.clients
         if clients is not None:

@@ -15,7 +15,6 @@ from repro.core.lddm import LddmSolver
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.projection import (
-    _project_demands_reference,
     project_capped_simplex,
     project_demands,
     project_local_set,
@@ -24,6 +23,8 @@ from repro.core.subproblem import ReplicaSubproblem, solve_replica_subproblem
 from repro.errors import ValidationError
 from tests.core.conftest import random_instance
 from tests.oracles.kernels import _proximal_columns as proximal_columns_oracle
+from tests.oracles.projection import project_demands_reference
+from tests.oracles.solvers import ScalarCdpsmSolver, ScalarLddmSolver
 
 ORACLE_ATOL = 1e-9
 
@@ -47,7 +48,7 @@ class TestGroupedDemandProjection:
         mask = _random_mask(rng, C, N) if rng.random() < 0.7 \
             else np.ones((C, N), dtype=bool)
         fast = project_demands(P, R, mask)
-        slow = _project_demands_reference(P, R, mask)
+        slow = project_demands_reference(P, R, mask)
         assert np.allclose(fast, slow, atol=ORACLE_ATOL)
 
     def test_empty_support_with_demand_rejected(self):
@@ -74,7 +75,7 @@ class TestStackProjectDemands:
             else np.ones((C, N), dtype=bool)
         out = kernels.stack_project_demands(S, R, mask)
         for k in range(K):
-            ref = _project_demands_reference(S[k], R, mask)
+            ref = project_demands_reference(S[k], R, mask)
             assert np.allclose(out[k], ref, atol=ORACLE_ATOL), f"slice {k}"
 
     def test_bad_shapes_rejected(self):
@@ -294,12 +295,16 @@ class TestRepairAndObjectiveStacks:
         assert np.allclose(got, want, atol=ORACLE_ATOL)
 
 
+#: Production solver -> its scalar loop in ``tests/oracles/solvers.py``.
+SCALAR_ORACLE = {LddmSolver: ScalarLddmSolver, CdpsmSolver: ScalarCdpsmSolver}
+
+
 class TestBatchedSolversMatchScalar:
     """End-to-end: batched solver runs reproduce the scalar oracles."""
 
     def _check(self, problem, cls, **kw):
-        batched = cls(problem, batched=True, **kw).solve()
-        scalar = cls(problem, batched=False, **kw).solve()
+        batched = cls(problem, **kw).solve()
+        scalar = SCALAR_ORACLE[cls](problem, **kw).solve()
         assert batched.iterations == scalar.iterations
         assert abs(batched.objective - scalar.objective) < 1e-6
         assert np.allclose(batched.allocation, scalar.allocation, atol=1e-6)
@@ -353,9 +358,8 @@ class TestWarmStartedSolversMatchScalar:
     def _check_lddm(self, problem, **kw):
         initial, mu0 = self._warm_point(problem)
         runs = {}
-        for batched in (True, False):
-            solver = LddmSolver(problem, batched=batched,
-                                track_objective=False, **kw)
+        for batched, cls in ((True, LddmSolver), (False, ScalarLddmSolver)):
+            solver = cls(problem, track_objective=False, **kw)
             iters = [(k, cand.copy(), res) for k, cand, res
                      in solver.iterations(initial, mu0=mu0)]
             runs[batched] = (iters, solver.mu_.copy(), solver.converged_)
@@ -372,9 +376,8 @@ class TestWarmStartedSolversMatchScalar:
     def _check_cdpsm(self, problem, **kw):
         initial, _ = self._warm_point(problem)
         runs = {}
-        for batched in (True, False):
-            solver = CdpsmSolver(problem, batched=batched,
-                                 track_objective=False, **kw)
+        for batched, cls in ((True, CdpsmSolver), (False, ScalarCdpsmSolver)):
+            solver = cls(problem, track_objective=False, **kw)
             runs[batched] = [(k, cand.copy()) for k, cand, _
                              in solver.iterations(initial)]
         assert len(runs[True]) == len(runs[False])

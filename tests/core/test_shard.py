@@ -20,7 +20,6 @@ from repro.core.reference import solve_reference
 from repro.core.shard import (
     SolveShard,
     partition_classes,
-    run_shard_round,
 )
 from repro.errors import ValidationError
 from repro.util.rng import make_rng
@@ -233,20 +232,3 @@ class TestSolveRound:
         assert (shard.state.Q[:, 1] == 0.0).all()
         assert not shard.state.masks[:, 1].any()
         assert shard.state.B[1] == 0.0
-
-    def test_process_round_bit_identical(self):
-        # The process worker rebuilds the shard from the payload and
-        # must return exactly the rows the in-process path computes.
-        problem = random_instance(10, n_clients=5, n_replicas=4,
-                                  masked=True)
-        st = _row_state(problem, seed=10, background_scale=10.0)
-        shard_a = _shard_from_state(st)
-        shard_b = _shard_from_state(st)
-        bg = st.background.copy()
-        payload = shard_a.round_payload(bg, 0.5)
-        sid, Q, sweeps, converged, fit = run_shard_round(payload)
-        r = shard_b.solve_round(bg, 0.5)
-        assert sid == 0
-        assert np.array_equal(Q, shard_b.state.Q)
-        assert (sweeps, converged, fit) == \
-            (r.sweeps, r.converged, r.fit)

@@ -15,7 +15,7 @@ from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.warmstart import WarmStartCache, project_warm_start
 from repro.edr.scheduler import DistributedSolveSession
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.net.topology import Topology
 from repro.net.transport import Network
@@ -142,7 +142,8 @@ class TestClassSpaceWarmStarts:
 
     def test_runtime_counts_warm_solves_with_aggregation(self):
         trace = burst_trace(count=24, n_clients=12, rate=40.0, seed=1)
-        res = EDRSystem(trace, RuntimeConfig(algorithm="lddm")).run("dfs")
+        res = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm"))).run("dfs")
         assert res.extras["warm_solves"] >= 1
 
 
@@ -151,10 +152,12 @@ class TestRuntimeParity:
     def test_aggregate_on_off_same_delivery(self, algorithm):
         trace = burst_trace(count=24, n_clients=12, rate=40.0, seed=2)
         on = EDRSystem(trace, RuntimeConfig(
-            algorithm=algorithm, aggregate=True)).run("dfs")
+            solver=SolverOptions(algorithm=algorithm,
+                                 aggregate=True))).run("dfs")
         trace = burst_trace(count=24, n_clients=12, rate=40.0, seed=2)
         off = EDRSystem(trace, RuntimeConfig(
-            algorithm=algorithm, aggregate=False)).run("dfs")
+            solver=SolverOptions(algorithm=algorithm,
+                                 aggregate=False))).run("dfs")
         assert on.extras["delivered_mb"] == pytest.approx(
             off.extras["delivered_mb"], rel=1e-6)
         # Same optimum (the LAN mask collapses to one class), so the
@@ -163,7 +166,8 @@ class TestRuntimeParity:
 
     def test_faulted_run_still_delivers_with_aggregation(self):
         trace = burst_trace(count=20, n_clients=10, rate=4.0, seed=3)
-        system = EDRSystem(trace, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         system.crash_replica("replica2", at=1.5)
         res = system.run(app="dfs")
         assert res.extras["delivered_mb"] == pytest.approx(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, NetConfig, RuntimeConfig, SolverOptions
 from repro.workload import FILE_SERVICE, VIDEO_STREAMING
 
 from tests.edr.conftest import burst_trace
@@ -19,8 +19,11 @@ from tests.edr.conftest import burst_trace
 PAIR = ((True, "vector"), (False, "scalar"))
 
 
-def _run(trace, coalesce, kernel, crash=None, restore=None, **kwargs):
-    cfg = RuntimeConfig(coalesce=coalesce, flow_kernel=kernel, **kwargs)
+def _run(trace, coalesce, kernel, crash=None, restore=None,
+         algorithm="lddm"):
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm=algorithm),
+        net=NetConfig(coalesce=coalesce, flow_kernel=kernel))
     system = EDRSystem(trace, cfg)
     if crash is not None:
         system.crash_replica(*crash)

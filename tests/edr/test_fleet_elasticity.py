@@ -196,13 +196,21 @@ class TestLifecycle:
         tokens = list(agg.structure.keys)
         with coord:
             coord.solve()
-            static0 = coord.worker_pool.static_bytes
+            pool = coord.worker_pool
+            static0 = pool.static_bytes
+            bytes_per_round = set()
             for scale in (1.05, 0.95, 1.01):
                 coord.install_target(tokens, agg.structure.masks,
                                      agg.structure.demands * scale)
+                b0, r0 = pool.round_bytes, pool.rounds_shipped
                 coord.solve()
-            assert coord.worker_pool.reships == 0
-            assert coord.worker_pool.static_bytes == static0
+                bytes_per_round.add((pool.round_bytes - b0)
+                                    / (pool.rounds_shipped - r0))
+            assert pool.reships == 0
+            assert pool.static_bytes == static0
+            # Delta-only rounds: every round ships the same task bytes,
+            # however many rounds each solve needed.
+            assert len(bytes_per_round) == 1
 
 
 class TestWorkerSizing:

@@ -8,7 +8,7 @@ from every client never serves a byte, yet everything is delivered.
 
 import pytest
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.net.topology import Topology
 from repro.util.rng import make_rng
 from repro.workload.apps import FILE_SERVICE
@@ -36,7 +36,9 @@ def geo_system(algorithm: str):
         clients=ClientPopulation(clients),
         app=FILE_SERVICE)
     trace = gen.generate(make_rng(1), count=20)
-    cfg = RuntimeConfig(algorithm=algorithm, batch_capacity_fraction=0.35)
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm=algorithm),
+        batch_capacity_fraction=0.35)
     return trace, EDRSystem(trace, cfg, topology=topo)
 
 

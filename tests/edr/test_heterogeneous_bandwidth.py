@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, NetConfig, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 
 from tests.edr.conftest import burst_trace
@@ -12,14 +12,15 @@ from tests.edr.conftest import burst_trace
 class TestHeterogeneousBandwidths:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(bandwidths=(100.0,))  # wrong length
+            RuntimeConfig(net=NetConfig(bandwidths=(100.0,)))  # wrong length
         with pytest.raises(ValidationError):
-            RuntimeConfig(bandwidths=(0.0,) * 8)
+            RuntimeConfig(net=NetConfig(bandwidths=(0.0,) * 8))
 
     def test_replica_bandwidths_helper(self):
         cfg = RuntimeConfig()
         assert np.allclose(cfg.replica_bandwidths(), 100.0)
-        cfg2 = RuntimeConfig(bandwidths=tuple(range(10, 90, 10)))
+        cfg2 = RuntimeConfig(
+            net=NetConfig(bandwidths=tuple(range(10, 90, 10))))
         assert cfg2.replica_bandwidths().tolist() == list(range(10, 80, 10)) \
             + [80]
 
@@ -29,14 +30,16 @@ class TestHeterogeneousBandwidths:
                             rate=16.0, seed=4)
         # replica1 is the cheapest but has a tiny NIC.
         bws = (10.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0)
-        cfg = RuntimeConfig(algorithm="lddm", bandwidths=bws,
-                            batch_capacity_fraction=0.35)
+        cfg = RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm"),
+            net=NetConfig(bandwidths=bws), batch_capacity_fraction=0.35)
         res = EDRSystem(trace, cfg).run(app="video")
         moved = res.extras["transferred_mb"]
         # The capacity constraint caps the cheap replica's share well
         # below an equal-capacity run's.
         equal = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", batch_capacity_fraction=0.35)).run(app="video")
+            solver=SolverOptions(algorithm="lddm"),
+            batch_capacity_fraction=0.35)).run(app="video")
         moved_equal = equal.extras["transferred_mb"]
         assert moved["replica1"] < 0.5 * moved_equal["replica1"]
         assert res.extras["delivered_mb"] == pytest.approx(
@@ -44,7 +47,9 @@ class TestHeterogeneousBandwidths:
 
     def test_homogeneous_path_unchanged(self):
         trace = burst_trace(count=8, n_clients=8, rate=20.0)
-        a = EDRSystem(trace, RuntimeConfig(algorithm="lddm")).run()
+        a = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm"))).run()
         b = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", bandwidths=(100.0,) * 8)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            net=NetConfig(bandwidths=(100.0,) * 8))).run()
         assert a.total_cents == pytest.approx(b.total_cents, rel=1e-9)

@@ -11,7 +11,7 @@ that the obs taxonomy records it.
 import pytest
 
 from repro.cluster.pricing import PriceSchedule
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.obs import TraceRecorder
 from repro.util.rng import make_rng
@@ -33,10 +33,12 @@ def trickle_trace(count=30, n_clients=6, seed=1, rate=6.0):
     return gen.generate(make_rng(seed), count=count)
 
 
-def run_system(trace, incremental, recorder=None, **cfg_kwargs):
-    cfg = RuntimeConfig(algorithm="lddm", prices=(1, 8, 1),
-                        incremental=incremental, recorder=recorder,
-                        **cfg_kwargs)
+def run_system(trace, incremental, recorder=None, price_schedule=None,
+               **solver_kwargs):
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm="lddm", incremental=incremental,
+                             **solver_kwargs),
+        prices=(1, 8, 1), recorder=recorder, price_schedule=price_schedule)
     system = EDRSystem(trace, cfg)
     return system.run(app="dfs")
 
@@ -106,8 +108,10 @@ class TestEventPath:
 
     def test_incremental_requires_aggregate(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(algorithm="lddm", prices=(1, 8, 1),
-                          incremental=True, aggregate=False)
+            RuntimeConfig(
+                solver=SolverOptions(
+                    algorithm="lddm", incremental=True, aggregate=False),
+                prices=(1, 8, 1))
 
 
 class TestStateKeying:
@@ -115,8 +119,9 @@ class TestStateKeying:
         # A crash changes the live set: the keyed state must not be
         # reused across it (stale column space), and the run completes.
         trace = trickle_trace(count=40, seed=5)
-        cfg = RuntimeConfig(algorithm="lddm", prices=(1, 8, 1),
-                            incremental=True)
+        cfg = RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm", incremental=True),
+            prices=(1, 8, 1))
         system = EDRSystem(trace, cfg)
         system.crash_replica("replica2", at=1.0)
         res = system.run(app="dfs")

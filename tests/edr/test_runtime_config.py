@@ -1,7 +1,5 @@
-"""The composable RuntimeConfig: sub-configs, flat-kwarg deprecation
-shim, mirror properties, and from_flat()."""
-
-import dataclasses
+"""The composable RuntimeConfig: sub-config validation, cross-field
+checks, and no flat-keyword spelling."""
 
 import pytest
 
@@ -34,6 +32,15 @@ class TestSubConfigs:
         assert cfg.net.bandwidth == 50.0
         assert cfg.faults.hb_interval == 0.1
 
+    def test_sub_configs_are_private_copies(self):
+        shared = NetConfig(bandwidth=50.0)
+        a, b = RuntimeConfig(net=shared), RuntimeConfig(net=shared)
+        a.net.bandwidth = 10.0
+        assert (shared.bandwidth, b.net.bandwidth) == (50.0, 50.0)
+        with pytest.raises(TypeError):
+            RuntimeConfig(solver=None)
+        assert len({a, b}) == 2    # identity-hashed, as before
+
     def test_sub_config_validation_still_fires(self):
         with pytest.raises(ValidationError):
             SolverOptions(algorithm="magic")
@@ -48,55 +55,18 @@ class TestSubConfigs:
                           sharding=ShardingConfig(n_shards=2))
 
 
-class TestMirrorProperties:
-    """Flat attribute access keeps working — it reads the sub-configs."""
-
-    def test_read_through(self):
-        cfg = RuntimeConfig(solver=SolverOptions(algorithm="cdpsm"))
-        assert cfg.algorithm == "cdpsm"
-        assert cfg.bandwidth == cfg.net.bandwidth
-        assert cfg.hb_timeout == cfg.faults.hb_timeout
-
-    def test_write_through(self):
-        cfg = RuntimeConfig()
-        cfg.bandwidth = 73.0
-        assert cfg.net.bandwidth == 73.0
-
-    def test_every_sub_config_field_is_mirrored(self):
-        cfg = RuntimeConfig()
-        for sub_name, sub_cls in (("solver", SolverOptions),
-                                  ("net", NetConfig),
-                                  ("faults", FaultConfig)):
-            for f in dataclasses.fields(sub_cls):
-                assert getattr(cfg, f.name) == \
-                    getattr(getattr(cfg, sub_name), f.name)
-
-
 class TestFlatKwargShim:
-    def test_flat_kwargs_warn_and_land_in_sub_configs(self):
-        with pytest.warns(DeprecationWarning, match="algorithm"):
-            cfg = RuntimeConfig(algorithm="cdpsm", bandwidth=42.0)
-        assert cfg.solver.algorithm == "cdpsm"
-        assert cfg.net.bandwidth == 42.0
+    """The flat-keyword shim is gone: sub-configs are the only spelling."""
+
+    def test_flat_kwarg_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unexpected"):
+            RuntimeConfig(algorithm="lddm")
+        assert not hasattr(RuntimeConfig(), "algorithm")
 
     def test_sub_config_construction_does_not_warn(self, recwarn):
         RuntimeConfig(solver=SolverOptions(algorithm="cdpsm"))
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_from_flat_is_silent(self, recwarn):
-        cfg = RuntimeConfig.from_flat(algorithm="cdpsm", heartbeats=True)
-        assert cfg.solver.algorithm == "cdpsm"
-        assert cfg.faults.heartbeats is True
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_from_flat_overrides_explicit_sub_config(self):
-        cfg = RuntimeConfig.from_flat(
-            solver=SolverOptions(algorithm="cdpsm", warm_start=False),
-            algorithm="lddm")
-        assert cfg.solver.algorithm == "lddm"
-        assert cfg.solver.warm_start is False  # untouched field survives
 
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected"):

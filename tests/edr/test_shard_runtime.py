@@ -11,7 +11,7 @@ warm caches from the global budget, and records the obs taxonomy.
 import pytest
 
 from repro.edr.coordinator import ShardingConfig
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.obs import TraceRecorder
 from repro.obs.events import validate_record
@@ -19,10 +19,11 @@ from repro.obs.events import validate_record
 from tests.edr.conftest import burst_trace
 
 
-def _run(trace, n_shards=2, recorder=None, **cfg_kwargs):
-    cfg_kwargs.setdefault("algorithm", "lddm")
-    cfg = RuntimeConfig(sharding=ShardingConfig(n_shards=n_shards),
-                        recorder=recorder, **cfg_kwargs)
+def _run(trace, n_shards=2, recorder=None):
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm="lddm",
+                             sharding=ShardingConfig(n_shards=n_shards)),
+        recorder=recorder)
     system = EDRSystem(trace, cfg)
     return system, system.run(app="dfs")
 
@@ -30,15 +31,19 @@ def _run(trace, n_shards=2, recorder=None, **cfg_kwargs):
 class TestConfigValidation:
     def test_sharding_requires_aggregate(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(sharding=ShardingConfig(), aggregate=False)
+            RuntimeConfig(
+                solver=SolverOptions(
+                    sharding=ShardingConfig(), aggregate=False))
 
     def test_sharding_requires_lddm(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(sharding=ShardingConfig(), algorithm="cdpsm")
+            RuntimeConfig(
+                solver=SolverOptions(
+                    sharding=ShardingConfig(), algorithm="cdpsm"))
 
     def test_warm_cache_entries_positive(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(warm_cache_entries=0)
+            RuntimeConfig(solver=SolverOptions(warm_cache_entries=0))
 
 
 class TestShardedRuntime:
@@ -54,7 +59,8 @@ class TestShardedRuntime:
         trace = burst_trace(count=30, n_clients=12, rate=10.0, seed=4)
         _, sharded = _run(trace)
         mono_trace = burst_trace(count=30, n_clients=12, rate=10.0, seed=4)
-        mono_sys = EDRSystem(mono_trace, RuntimeConfig(algorithm="lddm"))
+        mono_sys = EDRSystem(mono_trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         mono = mono_sys.run(app="dfs")
         assert sharded.extras["delivered_mb"] == pytest.approx(
             mono.extras["delivered_mb"], rel=1e-6)
@@ -63,8 +69,9 @@ class TestShardedRuntime:
 
     def test_crash_rebuilds_the_plane(self):
         trace = burst_trace(count=20, n_clients=10, rate=4.0, seed=5)
-        cfg = RuntimeConfig(algorithm="lddm",
-                            sharding=ShardingConfig(n_shards=2))
+        cfg = RuntimeConfig(
+            solver=SolverOptions(
+                algorithm="lddm", sharding=ShardingConfig(n_shards=2)))
         system = EDRSystem(trace, cfg)
         system.crash_replica("replica2", at=1.5)
         res = system.run(app="dfs")
@@ -76,16 +83,19 @@ class TestShardedRuntime:
 
     def test_shard_cache_sizing_follows_global_budget(self):
         trace = burst_trace(count=8, n_clients=4, rate=10.0, seed=6)
-        cfg = RuntimeConfig(algorithm="lddm", warm_cache_entries=8,
-                            sharding=ShardingConfig(n_shards=4))
+        cfg = RuntimeConfig(
+            solver=SolverOptions(
+                algorithm="lddm", warm_cache_entries=8,
+                sharding=ShardingConfig(n_shards=4)))
         system = EDRSystem(trace, cfg)
         assert len(system._shard_caches) == 4
         for cache in system._shard_caches:
             assert cache.max_entries == 2
         # An explicit per-shard override wins over the derived share.
         cfg = RuntimeConfig(
-            algorithm="lddm", warm_cache_entries=8,
-            sharding=ShardingConfig(n_shards=4, warm_cache_entries=5))
+            solver=SolverOptions(
+                algorithm="lddm", warm_cache_entries=8,
+                sharding=ShardingConfig(n_shards=4, warm_cache_entries=5)))
         system = EDRSystem(trace, cfg)
         for cache in system._shard_caches:
             assert cache.max_entries == 5

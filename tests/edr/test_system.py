@@ -3,22 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import (
+    EDRSystem,
+    FaultConfig,
+    RuntimeConfig,
+    SolverOptions,
+)
 from repro.errors import ValidationError
 from repro.workload.requests import RequestTrace
 
 from tests.edr.conftest import burst_trace
 
 
-def run_system(trace, **cfg_kwargs):
-    cfg = RuntimeConfig(**cfg_kwargs)
+def run_system(trace, algorithm, **cfg_kwargs):
+    cfg = RuntimeConfig(solver=SolverOptions(algorithm=algorithm),
+                        **cfg_kwargs)
     return EDRSystem(trace, cfg).run(app="test")
 
 
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(algorithm="magic")
+            RuntimeConfig(solver=SolverOptions(algorithm="magic"))
 
     def test_bad_fraction(self):
         with pytest.raises(ValidationError):
@@ -108,7 +114,7 @@ class TestFaultTolerance:
     def test_crash_mid_run_everything_still_delivered(self):
         # Long spread-out trace so the crash lands mid-service.
         trace = burst_trace(count=20, n_clients=10, rate=4.0, seed=3)
-        cfg = RuntimeConfig(algorithm="lddm")
+        cfg = RuntimeConfig(solver=SolverOptions(algorithm="lddm"))
         system = EDRSystem(trace, cfg)
         # Crash a non-lead replica while transfers are in flight.
         system.crash_replica("replica2", at=1.5)
@@ -124,7 +130,8 @@ class TestFaultTolerance:
         from repro.workload.apps import VIDEO_STREAMING
         trace = burst_trace(VIDEO_STREAMING, count=8, n_clients=8,
                             rate=8.0, seed=3)
-        system = EDRSystem(trace, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         # Crash a cheap (price-1), non-lead replica: it certainly carries
         # long-running flows when the fault hits.
         system.crash_replica("replica3", at=2.0)
@@ -136,7 +143,8 @@ class TestFaultTolerance:
     def test_heartbeat_detection_path(self):
         trace = burst_trace(count=10, n_clients=5, rate=4.0, seed=2)
         system = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", heartbeats=True))
+            solver=SolverOptions(algorithm="lddm"),
+            faults=FaultConfig(heartbeats=True)))
         system.faults.crash_at(1.0, "replica3")  # net-level crash only
         res = system.run(app="dfs")
         # The heartbeat protocol (not the harness) must detect it.
@@ -147,7 +155,8 @@ class TestFaultTolerance:
 
 class TestPowerProfiles:
     def test_profiles_recorded_at_50hz(self, dfs_burst):
-        system = EDRSystem(dfs_burst, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(dfs_burst, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         system.run(app="dfs")
         profiles = system.power_profiles()
         assert set(profiles) == set(system.replica_names)
@@ -157,7 +166,8 @@ class TestPowerProfiles:
             assert np.allclose(dt, 0.02, atol=1e-9)
 
     def test_power_within_model_envelope(self, dfs_burst):
-        system = EDRSystem(dfs_burst, RuntimeConfig(algorithm="cdpsm"))
+        system = EDRSystem(dfs_burst, RuntimeConfig(
+            solver=SolverOptions(algorithm="cdpsm")))
         system.run(app="dfs")
         pm = system.config.power_model
         for series in system.power_profiles().values():
@@ -165,7 +175,8 @@ class TestPowerProfiles:
             assert series.max() <= pm.peak_w + 1e-9
 
     def test_selection_raises_power_above_idle(self, dfs_burst):
-        system = EDRSystem(dfs_burst, RuntimeConfig(algorithm="cdpsm"))
+        system = EDRSystem(dfs_burst, RuntimeConfig(
+            solver=SolverOptions(algorithm="cdpsm")))
         system.run(app="dfs")
         pm = system.config.power_model
         # At least one replica must have been observed above idle+cpu floor.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.pricing import JOULES_PER_KWH
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.util.rng import make_rng
 from repro.workload.apps import FILE_SERVICE, VIDEO_STREAMING
 from repro.workload.clients import ClientPopulation
@@ -30,8 +30,9 @@ def random_run(seed: int):
         clients=ClientPopulation.uniform(n_clients),
         app=app)
     trace = gen.generate(rng, count=count)
-    cfg = RuntimeConfig(algorithm=algo, prices=prices,
-                        batch_capacity_fraction=0.35)
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm=algo), prices=prices,
+        batch_capacity_fraction=0.35)
     system = EDRSystem(trace, cfg)
     return trace, system, system.run(app=app.name)
 

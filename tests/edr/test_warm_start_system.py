@@ -9,16 +9,16 @@ iterations or response time on the Fig. 9 workload.
 import pytest
 
 from repro.cluster.pricing import PriceSchedule
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.experiments import fig9
 from repro.obs import TraceRecorder
 
 from tests.edr.conftest import burst_trace
 
 
-def _run(trace, **cfg_kwargs):
-    cfg_kwargs.setdefault("algorithm", "lddm")
-    cfg = RuntimeConfig(**cfg_kwargs)
+def _run(trace, **solver_kwargs):
+    solver_kwargs.setdefault("algorithm", "lddm")
+    cfg = RuntimeConfig(solver=SolverOptions(**solver_kwargs))
     system = EDRSystem(trace, cfg)
     return system, system.run(app="dfs")
 
@@ -63,11 +63,13 @@ class TestMembershipInvalidation:
         # the shrunken replica set without error.
         trace = burst_trace(count=20, n_clients=10, rate=4.0, seed=3)
         system, res = (lambda s: (s, s.run(app="dfs")))(
-            EDRSystem(trace, RuntimeConfig(algorithm="lddm")))
+            EDRSystem(trace, RuntimeConfig(
+                solver=SolverOptions(algorithm="lddm"))))
         baseline_invalidations = res.extras["warm_cache_invalidations"]
 
         trace = burst_trace(count=20, n_clients=10, rate=4.0, seed=3)
-        system = EDRSystem(trace, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         system.crash_replica("replica2", at=1.5)
         res = system.run(app="dfs")
         assert "replica2" not in system.ring.live
@@ -79,7 +81,8 @@ class TestMembershipInvalidation:
 
     def test_crash_then_solves_still_converge(self):
         trace = burst_trace(count=24, n_clients=12, rate=6.0, seed=5)
-        system = EDRSystem(trace, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         system.crash_replica("replica3", at=1.0)
         res = system.run(app="dfs")
         # Post-crash batches ran (cold) and produced allocations.
@@ -99,7 +102,8 @@ class TestMembershipInvalidation:
             (1.0, 8.0, 1.0, 6.0, 1.0, 5.0, 2.0, 3.0),
             (8.0, 1.0, 6.0, 1.0, 5.0, 1.0, 3.0, 2.0), switch_at=switch_at)
         system = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", price_schedule=schedule, recorder=rec))
+            solver=SolverOptions(algorithm="lddm"), price_schedule=schedule,
+            recorder=rec))
         res = system.run(app="dfs")
         assert res.extras["delivered_mb"] == pytest.approx(
             trace.total_mb(), rel=1e-6)

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.net.topology import Topology
 from repro.util.rng import make_rng
 from repro.workload.apps import FILE_SERVICE
@@ -39,8 +39,9 @@ def build_system():
                                     period=1000.0),
         clients=ClientPopulation(clients), app=FILE_SERVICE)
     trace = gen.generate(make_rng(3), count=24)
-    cfg = RuntimeConfig(algorithm="weighted", prices=(1, 8, 1),
-                        weights=(1.0, 1.0, 1.0))
+    cfg = RuntimeConfig(
+        solver=SolverOptions(algorithm="weighted", weights=(1.0, 1.0, 1.0)),
+        prices=(1, 8, 1))
     return trace, EDRSystem(trace, cfg, topology=topo)
 
 

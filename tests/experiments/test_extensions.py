@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.pricing import PriceSchedule
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.experiments import ext_dynamic_prices, ext_geo_latency
 
@@ -19,10 +19,12 @@ class TestDynamicPricesRuntime:
 
     def test_constant_schedule_matches_static(self):
         trace = burst_trace(count=8, n_clients=8, rate=20.0)
-        static = EDRSystem(trace, RuntimeConfig(algorithm="lddm")).run()
+        static = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm"))).run()
         sched = PriceSchedule.constant(list(RuntimeConfig().prices))
         dynamic = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", price_schedule=sched)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            price_schedule=sched)).run()
         assert dynamic.total_cents == pytest.approx(static.total_cents,
                                                     rel=1e-3)
 
@@ -32,10 +34,11 @@ class TestDynamicPricesRuntime:
             RuntimeConfig().prices, tuple(reversed(RuntimeConfig().prices)),
             switch_at=1e-3)  # flip almost immediately
         aware = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", price_schedule=sched)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            price_schedule=sched)).run()
         stale = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", price_schedule=sched,
-            solve_with_stale_prices=True)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            price_schedule=sched, solve_with_stale_prices=True)).run()
         # Both deliver; the aware one can't be (much) worse.
         assert aware.total_cents <= stale.total_cents * 1.02
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 
 from tests.edr.conftest import burst_trace
@@ -12,20 +12,23 @@ from tests.edr.conftest import burst_trace
 class TestWeightedScheduler:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RuntimeConfig(algorithm="weighted")  # no weights
+            RuntimeConfig(
+                solver=SolverOptions(algorithm="weighted"))  # no weights
         with pytest.raises(ValidationError):
-            RuntimeConfig(algorithm="weighted", weights=(1.0,))
+            RuntimeConfig(
+                solver=SolverOptions(algorithm="weighted", weights=(1.0,)))
         with pytest.raises(ValidationError):
-            RuntimeConfig(algorithm="weighted",
-                          weights=(0.0,) * 8)
+            RuntimeConfig(
+                solver=SolverOptions(algorithm="weighted", weights=(0.0,) * 8))
 
     def test_split_follows_weights(self):
         from repro.workload.apps import VIDEO_STREAMING
         trace = burst_trace(VIDEO_STREAMING, count=8, n_clients=8,
                             rate=8.0, seed=2)
         w = (4.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-        cfg = RuntimeConfig(algorithm="weighted", weights=w,
-                            batch_capacity_fraction=0.35)
+        cfg = RuntimeConfig(
+            solver=SolverOptions(algorithm="weighted", weights=w),
+            batch_capacity_fraction=0.35)
         res = EDRSystem(trace, cfg).run(app="video")
         moved = res.extras["transferred_mb"]
         # Zero-weight replicas never serve.
@@ -41,10 +44,10 @@ class TestWeightedScheduler:
     def test_deterministic(self):
         trace = burst_trace(count=6, n_clients=6, rate=20.0)
         w = tuple(np.linspace(1, 2, 8))
-        a = EDRSystem(trace, RuntimeConfig(algorithm="weighted",
-                                           weights=w)).run()
-        b = EDRSystem(trace, RuntimeConfig(algorithm="weighted",
-                                           weights=w)).run()
+        a = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="weighted", weights=w))).run()
+        b = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="weighted", weights=w))).run()
         assert a.total_cents == b.total_cents
 
 

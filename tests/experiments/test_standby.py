@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster.node import NodeActivity, ReplicaNode
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import (
+    EDRSystem,
+    FaultConfig,
+    RuntimeConfig,
+    SolverOptions,
+)
 from repro.errors import ValidationError
 from repro.experiments import ext_standby
 
@@ -32,7 +37,7 @@ class TestRuntimeStandby:
     def test_validation(self):
         with pytest.raises(ValidationError):
             EDRSystem(burst_trace(count=4),
-                      RuntimeConfig(standby_after=0.0))
+                      RuntimeConfig(faults=FaultConfig(standby_after=0.0)))
 
     def test_standby_reduces_wall_clock_energy(self):
         from repro.workload.apps import VIDEO_STREAMING
@@ -40,10 +45,12 @@ class TestRuntimeStandby:
                             rate=6.0, seed=9)
         import numpy as np
         on = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", batch_capacity_fraction=0.35)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            batch_capacity_fraction=0.35)).run()
         sb = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", batch_capacity_fraction=0.35,
-            standby_after=0.5)).run()
+            solver=SolverOptions(algorithm="lddm"),
+            batch_capacity_fraction=0.35,
+            faults=FaultConfig(standby_after=0.5))).run()
         assert np.sum(sb.extras["wall_clock_joules"]) < \
             np.sum(on.extras["wall_clock_joules"])
         # Everything still delivered despite nodes sleeping.
@@ -55,8 +62,9 @@ class TestRuntimeStandby:
         trace = burst_trace(VIDEO_STREAMING, count=12, n_clients=12,
                             rate=3.0, seed=9)  # spread: idle gaps exist
         system = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", batch_capacity_fraction=0.35,
-            standby_after=0.3))
+            solver=SolverOptions(algorithm="lddm"),
+            batch_capacity_fraction=0.35,
+            faults=FaultConfig(standby_after=0.3)))
         res = system.run()
         # At least one node slept at some point...
         slept = any(

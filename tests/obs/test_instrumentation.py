@@ -15,7 +15,7 @@ from repro.core import ProblemData, ReplicaSelectionProblem, solve
 from repro.core.aggregate import solve_aggregated
 from repro.edr.coordinator import solve_sharded
 from repro.edr.membership import MembershipRing
-from repro.edr.system import EDRSystem, RuntimeConfig
+from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.obs import TraceRecorder, iter_records, validate_record
 
 from tests.edr.conftest import burst_trace
@@ -111,7 +111,8 @@ class TestRuntimeInstrumentation:
         rec = TraceRecorder()
         trace = burst_trace(count=16, n_clients=8)
         res = EDRSystem(trace, RuntimeConfig(
-            algorithm="lddm", recorder=rec)).run(app="test")
+            solver=SolverOptions(algorithm="lddm"),
+            recorder=rec)).run(app="test")
         return rec, res
 
     def test_batch_events_match_extras(self, traced_run):
@@ -192,7 +193,8 @@ class TestRuntimeInstrumentation:
 
     def test_default_run_records_nothing(self):
         trace = burst_trace(count=8, n_clients=4)
-        system = EDRSystem(trace, RuntimeConfig(algorithm="lddm"))
+        system = EDRSystem(trace, RuntimeConfig(
+            solver=SolverOptions(algorithm="lddm")))
         system.run(app="test")
         assert system.recorder.enabled is False
 

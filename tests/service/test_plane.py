@@ -60,6 +60,20 @@ class TestSolve:
             with pytest.raises(ValidationError, match="algorithm"):
                 plane.solve(solve_request(algorithm="simplex"))
 
+    @pytest.mark.parametrize("options, named", [
+        ({"bogus": 1}, "bogus"),
+        ({"recorder": 5}, "recorder"),
+        ({"batched": False}, "batched"),
+        ({"step": 0.1}, "step"),
+    ])
+    def test_unknown_solver_option_rejected_by_name(self, options, named):
+        with make_plane() as plane:
+            with pytest.raises(ValidationError, match=named):
+                plane.solve(solve_request(options=options))
+            # The rejection happens before any state changes.
+            assert plane.solve(solve_request(
+                options={"max_iter": 50})).iterations <= 50
+
     def test_client_names_must_cover_rows(self):
         with make_plane() as plane:
             with pytest.raises(ValidationError, match="clients"):

@@ -20,7 +20,6 @@ from repro.edr.messages import (
 from repro.edr.system import SolverOptions
 from repro.errors import ServiceError, VersionMismatchError
 from repro.service import (
-    ControlPlaneServer,
     EDRClient,
     InProcessControlPlane,
     ServiceConfig,
@@ -135,6 +134,21 @@ class TestErrorMapping:
                          algorithm="simplex")
         assert exc.value.status == 400
         assert exc.value.remote_type == "ValidationError"
+
+    @pytest.mark.parametrize("options, named", [
+        ({"bogus": 1}, "bogus"),
+        ({"recorder": 5}, "recorder"),
+        ({"batched": False}, "batched"),
+        ({"step": 0.1}, "step"),
+    ])
+    def test_unknown_solver_option_is_400_naming_the_key(
+            self, client, options, named):
+        with pytest.raises(ServiceError, match=named) as exc:
+            client.solve(demands=DEMANDS, prices=PRICES, options=options)
+        assert exc.value.status == 400
+        assert exc.value.remote_type == "ValidationError"
+        # The plane survives the rejection.
+        assert client.solve(demands=DEMANDS, prices=PRICES).converged
 
     def test_newer_wire_version_is_426(self, server):
         payload = SolveRequest(demands=[1.0], prices=[1.0]).to_dict()

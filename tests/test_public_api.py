@@ -47,7 +47,7 @@ def public_functions():
     return sorted(seen.items())
 
 
-@pytest.mark.parametrize("package", PACKAGES)
+@pytest.mark.parametrize("package", PACKAGES + ["repro.core.shard"])
 def test_all_names_resolve(package):
     module = importlib.import_module(package)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
@@ -58,6 +58,22 @@ def test_all_names_resolve(package):
 def test_all_has_no_duplicates(package):
     names = importlib.import_module(package).__all__
     assert len(names) == len(set(names))
+
+
+def test_deleted_legacy_switches_are_type_errors():
+    """The bench-only switches are gone, not aliased or ignored."""
+    import repro
+    from repro.core.lddm import LddmSolver
+    from repro.edr.coordinator import ShardingConfig
+
+    problem = repro.ReplicaSelectionProblem(
+        repro.ProblemData.paper_defaults([40.0, 60.0], [1.0, 8.0, 1.0]))
+    with pytest.raises(TypeError, match="persistent_workers"):
+        ShardingConfig(persistent_workers=True)
+    with pytest.raises(TypeError, match="batched"):
+        LddmSolver(problem, batched=False)
+    with pytest.raises(TypeError, match="batched"):
+        repro.solve(problem, "lddm", batched=False)
 
 
 def test_promoted_entry_points_are_top_level():
