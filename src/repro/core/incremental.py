@@ -71,7 +71,8 @@ behaviour (``x - 0.0 == x`` for the finite nonnegative operands here).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -120,6 +121,8 @@ class EventResult:
     ``ok`` is False when the state declined the update and a full warm
     solve should run instead; ``reason`` then names the fallback trigger
     (``"capacity"``, ``"drift"``, ``"convergence"``, or ``"stale"``).
+    A declined :meth:`~IncrementalState.apply_event` has still recorded
+    the event (registry and class demand); only the rows are stale.
     ``events`` counts the class-demand changes applied, ``sweeps`` the
     Gauss–Seidel refinement sweeps the update needed.
     """
@@ -455,29 +458,14 @@ class IncrementalState:
         return self._kkt_residual() <= self.kkt_rtol, self.max_sweeps
 
     # -- client registry -----------------------------------------------------
-    def registered(self, client: str) -> tuple[bytes, float] | None:
-        """The (token, demand) registration of ``client``, or ``None``."""
-        return self._clients.get(client)
+    @property
+    def clients(self) -> Mapping[str, tuple[bytes, float]]:
+        """Read-only client -> (class token, demand) view of the registry.
 
-    def register_client(self, client: str, token: bytes,
-                        demand: float) -> None:
-        """(Re)register ``client`` without touching demands or rows.
-
-        Recovery plumbing for the sharded coordinator: when an event is
-        absorbed through :meth:`force_target` instead of
-        :meth:`apply_event`, the registry update the declined event
-        skipped is replayed here.  ``token`` must already be a known
-        class.
+        This state is the one place a registration lives: the sharded
+        coordinator and the service read it here instead of mirroring it.
         """
-        if token not in self._index:
-            raise ValidationError("unknown class token")
-        self._clients[client] = (token, float(demand))
-
-    def deregister_client(self, client: str) -> None:
-        """Forget ``client``'s registration (see :meth:`register_client`)."""
-        if client not in self._clients:
-            raise ValidationError(f"unknown client {client!r}")
-        del self._clients[client]
+        return MappingProxyType(self._clients)
 
     # -- class bookkeeping ---------------------------------------------------
     def _ensure_class(self, token: bytes,
@@ -571,12 +559,53 @@ class IncrementalState:
         self.fallbacks += 1
         return EventResult(ok=False, reason=reason)
 
-    def _apply_class_delta(self, k: int, new_demand: float,
-                           delta_abs: float) -> EventResult:
-        self._drift += delta_abs
+    # -- the event API --------------------------------------------------------
+    def apply_event(
+            self, event: "ClientArrival | ClientDeparture | DemandChange"
+    ) -> EventResult:
+        """Apply one client-granular event; O(sweeps * K * N).
+
+        The event is always *recorded* first — the client registry and
+        its class's demand ``D[k]`` — and only then absorbed: the class
+        row is re-solved (plus refinement sweeps) unless the state is
+        stale or a drift/capacity/convergence guard trips.  So
+        ``ok=False`` means exactly one thing whatever the reason: the
+        registry and ``D`` include the event, the rows were not
+        re-solved, and the state is stale until a full solve at its own
+        ``D`` (:meth:`force_target` + rounds, or a rebuild) clears it.
+        An invalid event raises before anything is written.
+        """
+        if not isinstance(event,
+                          (ClientArrival, ClientDeparture, DemandChange)):
+            raise ValidationError(
+                f"unknown event type {type(event).__name__}")
+        departs = isinstance(event, ClientDeparture)
+        reg = self._clients.get(event.client)
+        new = 0.0 if departs else float(event.demand)
+        if not 0.0 <= new < np.inf:
+            raise ValidationError("demand must be finite and nonnegative")
+        if isinstance(event, ClientArrival):
+            if reg is not None:
+                raise ValidationError(
+                    f"client {event.client!r} already registered")
+            row = np.asarray(event.eligibility, dtype=bool)
+            reg = (row.tobytes(), 0.0)
+            k = self._ensure_class(reg[0], row)
+        elif reg is None:
+            raise ValidationError(f"unknown client {event.client!r}")
+        else:
+            k = self._index[reg[0]]
+        token, old = reg
+        if departs:
+            del self._clients[event.client]
+        else:
+            self._clients[event.client] = (token, new)
+        self.D[k] = max(float(self.D[k]) + new - old, 0.0)
+        if self.stale:
+            return EventResult(ok=False, reason="stale")
+        self._drift += abs(new - old)
         if self._drift > self.drift_limit * self._baseline_total:
             return self._fallback("drift")
-        self.D[k] = max(float(new_demand), 0.0)
         if not self._rebalance_row(k):
             return self._fallback("capacity")
         converged, sweeps = self.refine()
@@ -584,61 +613,6 @@ class IncrementalState:
             return self._fallback("convergence")
         self.events_applied += 1
         return EventResult(ok=True, events=1, sweeps=sweeps)
-
-    # -- the event API --------------------------------------------------------
-    def apply_event(
-            self, event: "ClientArrival | ClientDeparture | DemandChange"
-    ) -> EventResult:
-        """Apply one client-granular event; O(sweeps * K * N).
-
-        Maps the event to its eligibility class, adjusts only that class
-        row (plus refinement sweeps), and recovers the operating point.
-        A returned ``ok=False`` marks the state stale — run a full warm
-        solve and rebuild.
-        """
-        if self.stale:
-            return EventResult(ok=False, reason="stale")
-        if isinstance(event, ClientArrival):
-            if event.client in self._clients:
-                raise ValidationError(
-                    f"client {event.client!r} already registered")
-            if event.demand < 0:
-                raise ValidationError("demand must be nonnegative")
-            row = np.asarray(event.eligibility, dtype=bool)
-            token = row.tobytes()
-            k = self._ensure_class(token, row)
-            result = self._apply_class_delta(
-                k, float(self.D[k]) + float(event.demand),
-                float(event.demand))
-            if result.ok:
-                self._clients[event.client] = (token, float(event.demand))
-            return result
-        if isinstance(event, ClientDeparture):
-            reg = self._clients.get(event.client)
-            if reg is None:
-                raise ValidationError(f"unknown client {event.client!r}")
-            token, demand = reg
-            k = self._index[token]
-            result = self._apply_class_delta(
-                k, float(self.D[k]) - demand, demand)
-            if result.ok:
-                del self._clients[event.client]
-            return result
-        if isinstance(event, DemandChange):
-            reg = self._clients.get(event.client)
-            if reg is None:
-                raise ValidationError(f"unknown client {event.client!r}")
-            if event.demand < 0:
-                raise ValidationError("demand must be nonnegative")
-            token, demand = reg
-            k = self._index[token]
-            result = self._apply_class_delta(
-                k, float(self.D[k]) + float(event.demand) - demand,
-                abs(float(event.demand) - demand))
-            if result.ok:
-                self._clients[event.client] = (token, float(event.demand))
-            return result
-        raise ValidationError(f"unknown event type {type(event).__name__}")
 
     def retarget(self, tokens: Sequence[bytes], masks: np.ndarray,
                  demands: np.ndarray) -> EventResult:

@@ -58,7 +58,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,12 +81,6 @@ __all__ = ["ShardingConfig", "CoordinatorResult", "RoutedResult",
            "ShardCoordinator", "solve_sharded", "tune_shard_count"]
 
 _MODES = ("serial", "thread", "process")
-
-#: Fallback reasons after which the declined event's demand delta has
-#: already been written into the state's class demands (see
-#: ``IncrementalState._apply_class_delta``): capacity and convergence
-#: declines happen *after* ``D[k]`` is updated, drift/stale before.
-_DELTA_APPLIED = frozenset({"capacity", "convergence"})
 
 
 @dataclass(frozen=True)
@@ -238,13 +232,11 @@ class ShardCoordinator:
         shard_of = partition_classes(data.R, cfg.n_shards)
         self._token_shard = {t: int(shard_of[i])
                              for i, t in enumerate(tokens)}
-        registry = dict(clients) if clients else {}
-        self._client_shard = {}
+        registry = clients or {}
         for c, (t, _) in registry.items():
             if t not in self._token_shard:
                 raise ValidationError(
                     f"client {c!r} registered to an unknown class")
-            self._client_shard[c] = self._token_shard[t]
         self.shards: list[SolveShard] = []
         demands = np.asarray(data.R, dtype=float)
         for s in range(cfg.n_shards):
@@ -345,6 +337,34 @@ class ShardCoordinator:
                 raise ValidationError("unknown class token")
             rows[i] = self.shards[s].state.row(t)
         return rows
+
+    # -- the client registry (owned by the shards' states) ---------------------
+    def registered(self, client: str) -> tuple[bytes, float] | None:
+        """The (token, demand) registration of ``client``, or ``None``."""
+        for sh in self.shards:
+            reg = sh.state.clients.get(client)
+            if reg is not None:
+                return reg
+        return None
+
+    def clients(self) -> Iterator[tuple[str, bytes, float]]:
+        """Every registered ``(client, token, demand)``, shard by shard."""
+        for sh in self.shards:
+            for client, (token, demand) in sh.state.clients.items():
+                yield client, token, demand
+
+    def class_snapshot(self) -> tuple[list[bytes], np.ndarray, np.ndarray,
+                                      np.ndarray]:
+        """``(tokens, masks, demands, rows)`` of every class, in one pass.
+
+        Copies, row-aligned across the four: the class-space instance
+        the plane currently solves plus its allocation.
+        """
+        states = [sh.state for sh in self.shards]
+        return ([t for st in states for t in st.tokens],
+                np.concatenate([st.masks for st in states]),
+                np.concatenate([st.D for st in states]),
+                np.concatenate([st.Q for st in states]))
 
     def residual(self) -> float:
         """The global convergence residual (relative, 0 = converged).
@@ -532,27 +552,6 @@ class ShardCoordinator:
             sweeps += r.sweeps
         return self._maybe_refresh(events, sweeps)
 
-    def install_target(self, tokens: Sequence[bytes], masks: np.ndarray,
-                       demands: np.ndarray) -> None:
-        """Force-install a class-demand target without re-solving.
-
-        Unlike :meth:`retarget`, nothing is absorbed incrementally:
-        every shard force-installs its slice of the target (keeping
-        warm rows where shapes allow) and bumps its geometry version.
-        The plane is left *out of tolerance* on purpose — callers run
-        :meth:`solve` when ready.
-        """
-        masks = np.asarray(masks, dtype=bool)
-        demands = np.asarray(demands, dtype=float)
-        if masks.shape != (len(tokens), self.n_replicas) \
-                or demands.shape != (len(tokens),):
-            raise ValidationError("retarget shapes do not match tokens")
-        split = self._split_target(tokens, masks, demands)
-        for s, sh in enumerate(self.shards):
-            k0 = sh.state.n_classes
-            sh.state.force_target(*split[s])
-            self._touch_after(sh, k0)
-
     def _recover(self, split: list, reason: str) -> RoutedResult:
         """A shard declined: force-target everything, re-fill with rounds."""
         self.fallbacks += 1
@@ -601,8 +600,10 @@ class ShardCoordinator:
         Arrivals go to their class's shard (new classes to the lightest
         shard); departures and demand changes follow the client's
         registration.  The shard absorbs the event incrementally against
-        the other shards' loads; a decline is recovered in place with
-        force-target + exchange rounds, so the plane never goes stale.
+        the other shards' loads.  A decline has already recorded the
+        event (the state's one decline contract), so recovery is the
+        same whatever the reason: clear stale at the state's own ``D``
+        and re-fill with exchange rounds — the plane never goes stale.
         """
         if isinstance(event, ClientArrival):
             token = np.asarray(event.eligibility, dtype=bool).tobytes()
@@ -613,73 +614,30 @@ class ShardCoordinator:
                         key=lambda j: (totals[j], j))
                 self._token_shard[token] = s
         else:
-            s = self._client_shard.get(event.client)
-            if s is None:
+            reg = self.registered(event.client)
+            if reg is None:
                 raise ValidationError(f"unknown client {event.client!r}")
+            s = self._token_shard[reg[0]]
         self.refresh_loads()
         sh = self.shards[s]
-        sh.state.set_background(self.background(s))
-        k0 = sh.state.n_classes
-        r = sh.state.apply_event(event)
+        st = sh.state
+        st.set_background(self.background(s))
+        k0 = st.n_classes
+        r = st.apply_event(event)
+        self._touch_after(sh, k0)
         if r.ok:
-            self._touch_after(sh, k0)
-            if isinstance(event, ClientArrival):
-                self._client_shard[event.client] = s
-            elif isinstance(event, ClientDeparture):
-                self._client_shard.pop(event.client, None)
             if self.recorder.enabled:
                 self.recorder.count("shard.event", shard=s)
             return self._maybe_refresh(r.events, r.sweeps)
-        return self._recover_event(sh, event, r.reason)
-
-    def _recover_event(self, sh: SolveShard, event,
-                       reason: str) -> RoutedResult:
-        """Absorb a declined event through force-target + full rounds.
-
-        Capacity/convergence declines happen after the class demand was
-        updated; drift/stale declines before — so the event's delta is
-        folded into the forced target only in the latter case, and the
-        registry update the decline skipped is replayed explicitly.
-        """
         self.fallbacks += 1
         if self.recorder.enabled:
-            self.recorder.count("shard.fallback", reason=reason)
-        st = sh.state
-        k0 = st.n_classes
-        target = {t: float(st.D[k]) for k, t in enumerate(st.tokens)}
-        if isinstance(event, ClientArrival):
-            token = np.asarray(event.eligibility, dtype=bool).tobytes()
-            if reason not in _DELTA_APPLIED:
-                target[token] = target.get(token, 0.0) + float(event.demand)
-        else:
-            reg = st.registered(event.client)
-            if reg is None:
-                raise ValidationError(f"unknown client {event.client!r}")
-            token, old = reg
-            if reason not in _DELTA_APPLIED:
-                if isinstance(event, ClientDeparture):
-                    target[token] = max(target.get(token, 0.0) - old, 0.0)
-                else:
-                    target[token] = max(
-                        target.get(token, 0.0) - old + float(event.demand),
-                        0.0)
-        toks = list(st.tokens)
-        st.force_target(toks, st.masks,
-                        np.array([target.get(t, 0.0) for t in toks]))
-        if isinstance(event, ClientArrival):
-            st.register_client(event.client, token, float(event.demand))
-            self._client_shard[event.client] = sh.shard_id
-        elif isinstance(event, ClientDeparture):
-            st.deregister_client(event.client)
-            self._client_shard.pop(event.client, None)
-        else:
-            st.register_client(event.client, token, float(event.demand))
-        self._touch_after(sh, k0)
+            self.recorder.count("shard.fallback", reason=r.reason)
+        st.force_target(list(st.tokens), st.masks, st.D)
         res = self.solve()
         self.refreshes += 1
         return RoutedResult(ok=True, events=1, sweeps=res.sweeps,
                             rounds=res.rounds, refreshed=True,
-                            residual=res.residual, fallback_reason=reason)
+                            residual=res.residual, fallback_reason=r.reason)
 
     # -- membership -----------------------------------------------------------
     def fail_replica(self, index: int) -> None:
@@ -739,8 +697,6 @@ class ShardCoordinator:
         elig, demand, row, moved = self.shards[src].extract_class(token)
         self.shards[dest].install_class(token, elig, demand, row, moved)
         self._token_shard[token] = dest
-        for c in moved:
-            self._client_shard[c] = dest
         self.migrations += 1
         if self.recorder.enabled:
             self.recorder.count("coordinator.migration")
@@ -852,13 +808,10 @@ class ShardCoordinator:
                 kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
                 drift_limit=cfg.drift_limit))
         self._token_shard = {}
-        self._client_shard = {}
         for i, (t, elig, demand, row, moved) in enumerate(entries):
             s = int(shard_of[i])
             self.shards[s].install_class(t, elig, demand, row, moved)
             self._token_shard[t] = s
-            for c in moved:
-                self._client_shard[c] = s
         self.refresh_loads()
         self.resizes += 1
         if self.recorder.enabled:

@@ -17,6 +17,7 @@ matrices are no longer the bottleneck that matters.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -32,7 +33,7 @@ from repro.edr.donar_runtime import DonarRuntime, DonarRuntimeConfig
 from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.experiments.parallel import parallel_map
-from repro.experiments.scenarios import Scenario, make_trace
+from repro.experiments.scenarios import Scenario, churn_events, make_trace
 from repro.util.rng import make_rng
 from repro.util.tables import render_series
 from repro.workload.apps import FILE_SERVICE
@@ -398,9 +399,7 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
     check.  A declined event (fallback) runs the full solve and rebuilds
     the state from it, exactly as the runtime would.
     """
-    from repro.core.aggregate import ClassStructure
-    from repro.core.incremental import (
-        ClientArrival, ClientDeparture, DemandChange, IncrementalState)
+    from repro.core.incremental import IncrementalState
     import time
 
     if n_events < 1:
@@ -419,56 +418,20 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
                for i in range(data.n_clients)}
     state = IncrementalState(reduced, tokens, base.allocation,
                              clients=clients, drift_limit=drift_limit)
-    rng = make_rng(int(event_seed))
-    names = list(clients)
     patterns = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]],
                         dtype=bool)
-    sigma = FILE_SERVICE.size_sigma
-    mu = float(np.log(FILE_SERVICE.mean_size_mb)) - sigma ** 2 / 2.0
-
-    registry = dict(clients)   # mirror of the state's client registry
     event_ms, resolve_ms, gaps = [], [], []
-    fallbacks = arrivals = departures = demand_changes = 0
-    fallback_reasons: dict[str, int] = {}
-    for i in range(int(n_events)):
-        kind = rng.random()
-        if kind < 0.25 and names:
-            departures += 1
-            victim = names.pop(int(rng.integers(len(names))))
-            event = ClientDeparture(victim)
-        elif kind < 0.5:
-            arrivals += 1
-            fresh = f"x{i}"
-            event = ClientArrival(
-                fresh, float(rng.lognormal(mean=mu, sigma=sigma)),
-                patterns[int(rng.integers(len(patterns)))])
-        else:
-            demand_changes += 1
-            event = DemandChange(
-                names[int(rng.integers(len(names)))],
-                float(rng.lognormal(mean=mu, sigma=sigma)))
+    kinds: Counter = Counter()
+    fallback_reasons: Counter = Counter()
+    for i, event in enumerate(churn_events(
+            make_rng(int(event_seed)), list(clients), patterns,
+            int(n_events))):
+        kinds[type(event).__name__] += 1
         t0 = time.perf_counter()
         result = state.apply_event(event)
         event_ms.append(1e3 * (time.perf_counter() - t0))
-        if result.ok:
-            # apply_event registers only on success; mirror it.
-            if isinstance(event, ClientArrival):
-                names.append(event.client)
-                registry[event.client] = (
-                    np.asarray(event.eligibility,
-                               dtype=bool).tobytes(),
-                    float(event.demand))
-            elif isinstance(event, ClientDeparture):
-                del registry[event.client]
-            else:
-                token, _ = registry[event.client]
-                registry[event.client] = (token, float(event.demand))
-        else:
-            fallbacks += 1
-            reason = result.reason or "unknown"
-            fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-            if isinstance(event, ClientDeparture):
-                names.append(event.client)   # still registered
+        if not result.ok:
+            fallback_reasons[result.reason or "unknown"] += 1
         if not result.ok or i % int(compare_every) == 0:
             post = ReplicaSelectionProblem(state.class_data())
             warm = state.Q.copy()
@@ -481,17 +444,20 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
                 gaps.append(abs(state.objective() - sol.objective)
                             / max(abs(sol.objective), 1e-12))
             else:
-                # The runtime path: rebuild the state from the solve.
+                # The runtime path: the declined event is already in the
+                # state's registry and demands; rebuild from the solve.
                 state = IncrementalState(
                     state.class_data(), list(state.tokens),
-                    sol.allocation, clients=registry,
+                    sol.allocation, clients=dict(state.clients),
                     drift_limit=drift_limit)
     return IncrementalEventResult(
         n_clients=int(n_clients), n_classes=state.n_classes,
         event_ms=event_ms, resolve_ms=resolve_ms, rel_gaps=gaps,
-        fallbacks=fallbacks, arrivals=arrivals, departures=departures,
-        demand_changes=demand_changes,
-        extras={"fallback_reasons": fallback_reasons})
+        fallbacks=sum(fallback_reasons.values()),
+        arrivals=kinds["ClientArrival"],
+        departures=kinds["ClientDeparture"],
+        demand_changes=kinds["DemandChange"],
+        extras={"fallback_reasons": dict(fallback_reasons)})
 
 
 def run_solver_scaling(client_counts=DEFAULT_SCALING_CLIENTS,
@@ -735,36 +701,14 @@ def run_sharded_events(n_clients: int = 100_000, n_events: int = 200,
                              clients=clients)
     coord.solve()
 
-    from repro.core.incremental import (
-        ClientArrival, ClientDeparture, DemandChange)
-    rng = make_rng(int(event_seed))
-    names = list(clients)
     patterns = np.asarray(data.mask[
         np.unique(structure.class_of_client,
                   return_index=True)[1]], dtype=bool)
-    sigma = FILE_SERVICE.size_sigma
-    mu = float(np.log(FILE_SERVICE.mean_size_mb)) - sigma ** 2 / 2.0
-
     event_ms = []
-    arrivals = departures = demand_changes = 0
-    for i in range(int(n_events)):
-        kind = rng.random()
-        if kind < 0.25 and names:
-            departures += 1
-            victim = names.pop(int(rng.integers(len(names))))
-            event = ClientDeparture(victim)
-        elif kind < 0.5:
-            arrivals += 1
-            fresh = f"x{i}"
-            event = ClientArrival(
-                fresh, float(rng.lognormal(mean=mu, sigma=sigma)),
-                patterns[int(rng.integers(len(patterns)))])
-            names.append(fresh)
-        else:
-            demand_changes += 1
-            event = DemandChange(
-                names[int(rng.integers(len(names)))],
-                float(rng.lognormal(mean=mu, sigma=sigma)))
+    kinds: Counter = Counter()
+    for event in churn_events(make_rng(int(event_seed)), list(clients),
+                              patterns, int(n_events)):
+        kinds[type(event).__name__] += 1
         t0 = time.perf_counter()
         coord.apply_event(event)
         event_ms.append(1e3 * (time.perf_counter() - t0))
@@ -772,8 +716,9 @@ def run_sharded_events(n_clients: int = 100_000, n_events: int = 200,
         n_clients=int(n_clients), n_classes=coord.n_classes,
         n_shards=coord.n_shards, event_ms=event_ms,
         refreshes=coord.refreshes, fallbacks=coord.fallbacks,
-        rounds=coord.rounds_total, arrivals=arrivals,
-        departures=departures, demand_changes=demand_changes,
+        rounds=coord.rounds_total, arrivals=kinds["ClientArrival"],
+        departures=kinds["ClientDeparture"],
+        demand_changes=kinds["DemandChange"],
         final_residual=coord.residual())
 
 

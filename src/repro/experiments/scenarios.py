@@ -15,8 +15,13 @@ execution windows and therefore energy cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from repro.cluster.pricing import PAPER_PRICES
+from repro.core.incremental import ClientArrival, ClientDeparture, \
+    DemandChange
 from repro.errors import ValidationError
 from repro.util.rng import RngFactory
 from repro.workload.apps import (
@@ -29,7 +34,8 @@ from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import RequestTrace
 from repro.workload.youtube import YoutubeTrafficModel
 
-__all__ = ["Scenario", "PAPER_VIDEO", "PAPER_DFS", "make_trace"]
+__all__ = ["Scenario", "PAPER_VIDEO", "PAPER_DFS", "make_trace",
+           "churn_events"]
 
 
 @dataclass(frozen=True)
@@ -90,3 +96,31 @@ def make_trace(scenario: Scenario, seed: int | None = None) -> RequestTrace:
         clients=ClientPopulation.uniform(scenario.n_clients),
         app=scenario.app)
     return gen.generate(rng.stream("trace"), count=scenario.n_requests)
+
+
+def churn_events(rng: np.random.Generator, names: list[str],
+                 patterns: np.ndarray, n_events: int
+                 ) -> Iterator[ClientArrival | ClientDeparture | DemandChange]:
+    """The event experiments' fixed-seed churn mix, one event at a time.
+
+    Half demand changes, a quarter arrivals (fresh clients ``x<i>`` on a
+    random row of ``patterns``), a quarter departures; demands are
+    lognormal around the file service's mean size.  ``names`` is the
+    live-client list the draws index into, updated in place as events
+    are drawn.
+    """
+    sigma = FILE_SERVICE.size_sigma
+    mu = float(np.log(FILE_SERVICE.mean_size_mb)) - sigma ** 2 / 2.0
+    for i in range(n_events):
+        kind = rng.random()
+        if kind < 0.25 and names:
+            yield ClientDeparture(names.pop(int(rng.integers(len(names)))))
+        elif kind < 0.5:
+            names.append(f"x{i}")
+            yield ClientArrival(
+                names[-1], float(rng.lognormal(mean=mu, sigma=sigma)),
+                patterns[int(rng.integers(len(patterns)))])
+        else:
+            yield DemandChange(
+                names[int(rng.integers(len(names)))],
+                float(rng.lognormal(mean=mu, sigma=sigma)))

@@ -3,11 +3,11 @@
 :class:`ControlPlane` is the protocol both backends implement:
 
 * :class:`InProcessControlPlane` — the library path.  Solves run through
-  :func:`repro.core.solve`, churn events route to an
-  :class:`~repro.core.incremental.IncrementalState` (or a
-  :class:`~repro.edr.coordinator.ShardCoordinator` when sharding is
-  configured), membership is a server-side failure detector fed by agent
-  heartbeats.
+  :func:`repro.core.solve`; churn events route to one
+  :class:`~repro.edr.coordinator.ShardCoordinator` (a single shard unless
+  sharding is configured), which owns the client registry — the plane
+  keeps no copy; membership is a server-side failure detector fed by
+  agent heartbeats.
 * :class:`repro.service.client.EDRClient` — the HTTP path.  Same
   methods, same wire models, transport is ``urllib`` instead of a
   function call.
@@ -29,18 +29,12 @@ import numpy as np
 
 from repro.core.aggregate import ClassStructure
 from repro.core.api import ALGORITHMS, _option_names, solve as core_solve
-from repro.core.incremental import ClientArrival, ClientDeparture, \
-    DemandChange, IncrementalState
-from repro.core.params import (
-    PAPER_ALPHA,
-    PAPER_BETA,
-    PAPER_GAMMA,
-    PAPER_BANDWIDTH,
-    ProblemData,
-)
+from repro.core.incremental import ClientArrival, ClientDeparture
+from repro.core.params import PAPER_ALPHA, PAPER_BANDWIDTH, PAPER_BETA, \
+    PAPER_GAMMA, ProblemData
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.warmstart import recover_mu
-from repro.edr.coordinator import ShardCoordinator
+from repro.edr.coordinator import ShardCoordinator, ShardingConfig
 from repro.edr.messages import (
     WIRE_VERSION,
     EventRequest,
@@ -60,6 +54,10 @@ from repro.obs import TraceRecorder
 from repro.obs.export import to_prometheus_text
 
 __all__ = ["ServiceConfig", "ControlPlane", "InProcessControlPlane"]
+
+#: The event plane of a service whose ``SolverOptions.sharding`` is unset:
+#: the same coordinator, one shard.
+_ONE_SHARD = ShardingConfig(n_shards=1)
 
 
 @dataclass
@@ -122,23 +120,18 @@ class InProcessControlPlane:
         self._clock = clock
         self._lock = threading.RLock()
         self._closed = False
-        # -- event plane (populated by a solve that names clients) ----------
-        self._state: IncrementalState | None = None
+        #: the one event plane, armed by a solve that names its clients
         self._coordinator: ShardCoordinator | None = None
-        self._tokens: list[bytes] = []
-        self._masks: dict[bytes, np.ndarray] = {}
-        self._registry: dict[str, tuple[bytes, float]] = {}
-        self._cost: dict[str, np.ndarray] = {}
-        # -- membership (agent registry + failure detector) -----------------
+        #: agent registry the failure detector judges by heartbeat age
         self._agents: dict[str, dict] = {}
 
     # -- solve ---------------------------------------------------------------
     def solve(self, request: SolveRequest) -> SolveResponse:
         """Solve one instance; optionally arm the event plane.
 
-        When ``request.clients`` names the demand rows, the converged
-        class-space allocation seeds an incremental state (or a sharded
-        coordinator, per the service's :class:`SolverOptions`) so a
+        When ``request.clients`` names the demand rows, the class-space
+        instance arms a :class:`ShardCoordinator` (sharded per the
+        service's :class:`SolverOptions`, one shard otherwise) so a
         follow-up ``/v1/events`` stream can be absorbed without
         re-solving from scratch.
         """
@@ -170,8 +163,7 @@ class InProcessControlPlane:
                                   **dict(request.options))
             duals = recover_mu(problem, solution.allocation)
             if clients is not None:
-                self._arm_event_plane(data, solution.allocation,
-                                      list(clients))
+                self._arm_event_plane(data, list(clients))
             return SolveResponse(
                 allocation=solution.allocation.tolist(),
                 objective=float(solution.objective),
@@ -186,188 +178,136 @@ class InProcessControlPlane:
                 clients=list(clients) if clients is not None else None,
             )
 
-    def _problem_data(self, request: SolveRequest) -> ProblemData:
+    @staticmethod
+    def _problem_data(request: SolveRequest) -> ProblemData:
         """Materialize a :class:`ProblemData` from a wire request."""
-        prices = np.asarray(request.prices, dtype=float)
-        n = prices.shape[0]
-        if request.capacities is not None:
-            capacities = np.asarray(request.capacities, dtype=float)
-        else:
-            capacities = np.full(n, PAPER_BANDWIDTH)
-        return ProblemData(
-            demands=request.demands,
-            capacities=capacities,
-            prices=prices,
-            alpha=request.alpha if request.alpha is not None else PAPER_ALPHA,
-            beta=request.beta if request.beta is not None else PAPER_BETA,
-            gamma=request.gamma if request.gamma is not None else PAPER_GAMMA,
-            mask=request.mask,
-        )
+        def given(value, default):
+            return default if value is None else value
 
-    def _arm_event_plane(self, data: ProblemData, allocation: np.ndarray,
+        return ProblemData(
+            demands=request.demands, prices=request.prices, mask=request.mask,
+            capacities=given(request.capacities,
+                             np.full(len(request.prices), PAPER_BANDWIDTH)),
+            alpha=given(request.alpha, PAPER_ALPHA),
+            beta=given(request.beta, PAPER_BETA),
+            gamma=given(request.gamma, PAPER_GAMMA))
+
+    def _arm_event_plane(self, data: ProblemData,
                          clients: list[str]) -> None:
-        """Seed the incremental/sharded plane from a converged solve."""
+        """Stand up the coordinator on the solved instance's class space."""
         self._teardown_event_plane()
         structure = ClassStructure.from_mask(data.mask, data.R)
         tokens = list(structure.keys)
-        reduced = structure.reduce_data(data)
-        rows = structure.reduce_rows(allocation)
-        registry = {
-            name: (tokens[int(structure.class_of_client[i])],
-                   float(data.R[i]))
-            for i, name in enumerate(clients)
-        }
-        self._tokens = tokens
-        self._masks = {t: structure.masks[k].copy()
-                       for k, t in enumerate(tokens)}
-        self._registry = registry
-        self._cost = {"capacities": data.B.copy(), "prices": data.u.copy(),
-                      "alpha": data.alpha.copy(), "beta": data.beta.copy(),
-                      "gamma": data.gamma.copy()}
-        opts = self.config.solver
-        if opts.sharding is not None:
-            self._coordinator = ShardCoordinator(
-                reduced, tokens, opts.sharding, clients=dict(registry),
-                recorder=self.recorder)
-            self._coordinator.solve()
-        else:
-            self._state = IncrementalState(
-                reduced, tokens, rows, clients=dict(registry),
-                drift_limit=opts.incremental_drift_limit)
+        token_of = [tokens[k] for k in structure.class_of_client]
+        registry = dict(zip(clients, zip(token_of, data.R.tolist())))
+        self._coordinator = ShardCoordinator(
+            structure.reduce_data(data), tokens,
+            self.config.solver.sharding or _ONE_SHARD, clients=registry,
+            recorder=self.recorder)
+        self._coordinator.solve()
 
     def _teardown_event_plane(self) -> None:
         if self._coordinator is not None:
             self._coordinator.close()
         self._coordinator = None
-        self._state = None
-        self._tokens = []
-        self._masks = {}
-        self._registry = {}
-        self._cost = {}
 
     # -- events --------------------------------------------------------------
     def events(self, request: EventRequest) -> EventResponse:
-        """Apply a churn stream to the armed event plane, in order."""
+        """Apply a churn batch to the armed event plane, in order.
+
+        Validate-then-apply: the whole batch is checked against the
+        registry (plus what earlier events in the batch did to it) and
+        the post-batch instance against capacity before anything is
+        applied, so a rejected batch leaves the plane unchanged.
+        """
         with self._lock:
             self._check_open()
             self.recorder.count("service.requests", endpoint="events")
-            if self._state is None and self._coordinator is None:
-                raise ValidationError(
-                    "no event plane armed; POST /v1/solve with clients "
-                    "first")
-            applied = 0
-            resolves = 0
+            coord = self._coordinator
+            if coord is None:
+                raise ValidationError("no event plane armed; POST /v1/solve "
+                                      "with clients first")
+            events = [wire_event.to_core() for wire_event in request.events]
+            if events:
+                self._validate_batch(coord, events)
             sweeps = 0
             reasons: dict[str, int] = {}
-            for wire_event in request.events:
-                event = wire_event.to_core()
-                self._validate_event(event)
-                if self._coordinator is not None:
-                    routed = self._coordinator.apply_event(event)
-                    sweeps += routed.sweeps
-                    reason = getattr(routed, "fallback_reason", None)
-                    if reason:
-                        resolves += 1
-                        reasons[reason] = reasons.get(reason, 0) + 1
-                else:
-                    result = self._state.apply_event(event)
-                    sweeps += result.sweeps
-                    if not result.ok:
-                        resolves += 1
-                        reasons[result.reason] = \
-                            reasons.get(result.reason, 0) + 1
-                applied += 1
-                self._absorb_into_registry(event)
-                if self._state is not None and self._state.stale:
-                    self._full_resolve()
-            return self._event_snapshot(applied, resolves, sweeps, reasons)
+            for event in events:
+                routed = coord.apply_event(event)
+                sweeps += routed.sweeps
+                reason = routed.fallback_reason
+                if reason:
+                    reasons[reason] = reasons.get(reason, 0) + 1
+            return self._event_snapshot(coord, len(events), sweeps, reasons)
 
-    def _validate_event(self, event) -> None:
-        if isinstance(event, ClientArrival):
-            if event.client in self._registry:
-                raise ValidationError(
-                    f"client {event.client!r} already registered")
-            if len(event.eligibility) != len(self._cost["prices"]):
-                raise ValidationError("eligibility row has wrong length")
-        elif event.client not in self._registry:
-            raise ValidationError(f"unknown client {event.client!r}")
+    @staticmethod
+    def _validate_batch(coord: ShardCoordinator, events: list) -> None:
+        """Reject a bad batch whole, naming the offending event's index.
 
-    def _absorb_into_registry(self, event) -> None:
-        """Mirror one validated event into the plane-owned registry."""
-        if isinstance(event, ClientArrival):
-            row = np.asarray(event.eligibility, dtype=bool)
-            token = row.tobytes()
-            if token not in self._masks:
-                self._masks[token] = row.copy()
-                self._tokens.append(token)
-            self._registry[event.client] = (token, float(event.demand))
-        elif isinstance(event, ClientDeparture):
-            del self._registry[event.client]
-        elif isinstance(event, DemandChange):
-            token, _ = self._registry[event.client]
-            self._registry[event.client] = (token, float(event.demand))
-
-    def _class_demands(self) -> np.ndarray:
-        """Per-class demand totals from the plane-owned registry."""
-        totals = {t: 0.0 for t in self._tokens}
-        for token, demand in self._registry.values():
-            totals[token] += demand
-        return np.array([totals[t] for t in self._tokens])
-
-    def _full_resolve(self) -> None:
-        """Warm full re-solve after an incremental decline (the fallback).
-
-        Rebuilds the class-space instance from the registry, warm-starts
-        from the stale state's rows, and re-arms a fresh
-        :class:`IncrementalState`.
+        Walks the batch against ``coord``'s registry under an in-batch
+        overlay (``None`` marks a client the batch already removed),
+        then certifies the post-batch class instance feasible.
         """
-        tokens = list(self._tokens)
-        masks = np.vstack([self._masks[t] for t in tokens])
-        demands = self._class_demands()
-        data = ProblemData(demands=demands,
-                           capacities=self._cost["capacities"],
-                           prices=self._cost["prices"],
-                           alpha=self._cost["alpha"],
-                           beta=self._cost["beta"],
-                           gamma=self._cost["gamma"], mask=masks)
-        warm = np.zeros(data.shape)
-        stale = self._state
-        for k, token in enumerate(tokens):
-            if stale is not None and token in stale._index:
-                warm[k] = stale.row(token)
-        solution = core_solve(ReplicaSelectionProblem(data), "lddm",
-                              warm_start=np.where(masks, warm, 0.0),
-                              recorder=self.recorder)
-        self._state = IncrementalState(
-            data, tokens, solution.allocation, clients=dict(self._registry),
-            drift_limit=self.config.solver.incremental_drift_limit)
-        self.recorder.count("service.resolves")
+        def bad(i: int, what: str) -> ValidationError:
+            return ValidationError(f"event {i}: {what}")
 
-    def _event_snapshot(self, applied: int, resolves: int, sweeps: int,
+        tokens, masks, demands, _ = coord.class_snapshot()
+        index = {t: k for k, t in enumerate(tokens)}
+        masks, demands = list(masks), list(demands)
+        overlay: dict[str, tuple[bytes, float] | None] = {}
+        for i, event in enumerate(events):
+            name, departs = event.client, isinstance(event, ClientDeparture)
+            reg = overlay.get(name, coord.registered(name))
+            new = 0.0 if departs else float(event.demand)
+            if not 0.0 <= new < np.inf:
+                raise bad(i, f"demand must be finite and nonnegative, "
+                             f"got {new}")
+            if isinstance(event, ClientArrival):
+                row = np.asarray(event.eligibility, dtype=bool)
+                if reg is not None:
+                    raise bad(i, f"client {name!r} already registered")
+                if row.shape != (coord.n_replicas,):
+                    raise bad(i, "eligibility row has wrong length")
+                if new > 0.0 and not row.any():
+                    raise bad(i, f"client {name!r} has positive demand but "
+                                 f"no eligible replica")
+                reg = (row.tobytes(), 0.0)
+                if reg[0] not in index:
+                    index[reg[0]] = len(masks)
+                    masks.append(row)
+                    demands.append(0.0)
+            elif reg is None:
+                raise bad(i, f"unknown client {name!r}")
+            token, old = reg
+            overlay[name] = None if departs else (token, new)
+            demands[index[token]] += new - old
+        ReplicaSelectionProblem(ProblemData(
+            demands=np.maximum(demands, 0.0), capacities=coord.B,
+            prices=coord.u, alpha=coord.alpha, beta=coord.beta,
+            gamma=coord.gamma, mask=np.asarray(masks)
+        )).require_feasible()
+
+    @staticmethod
+    def _event_snapshot(coord: ShardCoordinator, applied: int, sweeps: int,
                         reasons: dict[str, int]) -> EventResponse:
-        """Post-stream state: objective, loads, per-client allocation."""
-        if self._coordinator is not None:
-            self._coordinator.refresh_loads()
-            loads = np.asarray(self._coordinator.loads, dtype=float)
-            objective = self._coordinator.objective()
-            rows = self._coordinator.rows_for(self._tokens)
-        else:
-            loads = self._state.loads.copy()
-            objective = self._state.objective()
-            rows = self._state.rows_for(self._tokens)
-        index = {t: k for k, t in enumerate(self._tokens)}
-        class_demand = self._class_demands()
-        clients = sorted(self._registry)
-        allocation = np.zeros((len(clients), loads.shape[0]))
-        for i, name in enumerate(clients):
-            token, demand = self._registry[name]
-            k = index[token]
-            if class_demand[k] > 0.0:
-                allocation[i] = rows[k] * (demand / class_demand[k])
+        """Post-stream state: objective, loads, per-client allocation.
+
+        A client's row is its class row scaled by its share of the class
+        demand — the state's own ``D``, which the class row sums to.
+        """
+        coord.refresh_loads()
+        tokens, _, class_demand, rows = coord.class_snapshot()
+        index = {t: k for k, t in enumerate(tokens)}
+        registry = sorted(coord.clients())
+        k = np.array([index[token] for _, token, _ in registry], dtype=int)
+        demand = np.array([d for _, _, d in registry])
+        share = np.divide(demand, class_demand[k], out=np.zeros(k.shape),
+                          where=class_demand[k] > 0.0)
         return EventResponse(
-            applied=applied, resolves=resolves, sweeps=sweeps,
-            objective=float(objective), loads=loads.tolist(),
-            clients=clients, allocation=allocation.tolist(),
+            applied=applied, resolves=sum(reasons.values()), sweeps=sweeps,
+            objective=float(coord.objective()), loads=coord.loads.tolist(),
+            clients=[name for name, _, _ in registry],
+            allocation=(rows[k] * share[:, None]).tolist(),
             fallback_reasons=reasons,
         )
 
@@ -456,6 +396,5 @@ class InProcessControlPlane:
     def __enter__(self) -> "InProcessControlPlane":
         return self
 
-    def __exit__(self, *_exc) -> bool:
+    def __exit__(self, *_exc) -> None:
         self.close()
-        return False

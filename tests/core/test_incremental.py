@@ -217,6 +217,41 @@ class TestFallbacks:
         assert not res.ok and res.reason == "drift"
         assert state.fallbacks == 1
 
+    @pytest.mark.parametrize("reason", ["drift", "capacity", "stale"])
+    def test_declined_event_is_still_recorded(self, reason):
+        # The one decline contract: ok=False means "rows not re-solved,
+        # state stale" whatever the reason; the registry and the class
+        # demands always include the event.
+        prob = random_instance(24, n_clients=4, n_replicas=3)
+        n = prob.data.n_replicas
+        state = _state_from(
+            prob, drift_limit=1e-6 if reason == "drift" else 1e6)
+        if reason == "stale":
+            state.apply_event(ClientArrival(
+                "huge", float(prob.data.B.sum() * 2), np.ones(n, dtype=bool)))
+            assert state.stale
+        demand = float(prob.data.B.sum() * 2) if reason == "capacity" else 3.0
+        row = np.array([True] + [False] * (n - 1))
+        events = [ClientArrival("late", demand, row),
+                  DemandChange("c1", float(prob.data.R[1]) + demand),
+                  ClientDeparture("c2")]
+        for event in events:
+            res = state.apply_event(event)
+            assert not res.ok
+            assert res.reason == (reason if event is events[0] else "stale")
+        assert state.stale
+        assert state.clients["late"] == (row.tobytes(), demand)
+        assert state.clients["c1"][1] == float(prob.data.R[1]) + demand
+        assert "c2" not in state.clients
+        with pytest.raises(TypeError):
+            state.clients["c9"] = (row.tobytes(), 1.0)   # read-only view
+        # D is exactly the registry's per-class sum.
+        by_class = dict.fromkeys(state.tokens, 0.0)
+        for token, d in state.clients.values():
+            by_class[token] += d
+        np.testing.assert_allclose(
+            state.D, [by_class[t] for t in state.tokens], rtol=1e-12)
+
     def test_small_events_stay_under_drift_limit(self):
         prob = random_instance(22, n_clients=4, n_replicas=3)
         state = _state_from(prob, drift_limit=0.5)

@@ -222,9 +222,11 @@ class TestEventRouting:
         eligibility = problem.data.mask[0]
         coord.apply_event(ClientArrival("fresh1", 4.0, eligibility))
         token = np.asarray(eligibility, dtype=bool).tobytes()
-        assert coord._client_shard["fresh1"] == coord._token_shard[token]
+        assert coord.registered("fresh1") == (token, 4.0)
+        owner = coord.shards[coord._token_shard[token]]
+        assert "fresh1" in owner.state.clients
         coord.apply_event(ClientDeparture("fresh1"))
-        assert "fresh1" not in coord._client_shard
+        assert coord.registered("fresh1") is None
 
     def test_unknown_client_raises(self):
         _, coord = self._converged_coord()
@@ -255,9 +257,7 @@ class TestEventRouting:
         assert coord.fallbacks == before + 1
         assert coord.residual() <= coord.config.tol * (1 + 1e-9)
         # The demand change actually landed.
-        reg = None
-        for sh in coord.shards:
-            reg = reg or sh.state.registered("c0")
+        reg = coord.registered("c0")
         assert reg is not None and reg[1] == pytest.approx(50.0)
 
     def test_retarget_moves_the_plane(self):

@@ -33,6 +33,22 @@ def _make_coord(n_clients=400, n_shards=3, seed=2013, **cfg_kwargs):
     return agg, coord
 
 
+def install_target(coord, tokens, masks, demands):
+    """Force-install a class-demand target without re-solving.
+
+    Every shard force-targets its slice of the (known-class) target,
+    keeping its warm rows, and marks a demand-only change.  The plane is
+    left *out of tolerance* on purpose — callers run ``coord.solve()``.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    demands = np.asarray(demands, dtype=float)
+    for s, sh in enumerate(coord.shards):
+        own = [i for i, t in enumerate(tokens) if coord._token_shard[t] == s]
+        sh.state.force_target([tokens[i] for i in own], masks[own],
+                              demands[own])
+        sh.touch_demands()
+
+
 class TestMigration:
     def test_all_demand_class_migrates_cleanly(self):
         # One class holds ~all the demand; moving it must not change
@@ -161,8 +177,8 @@ class TestLifecycle:
         assert coord.worker_pool is None
         # The coordinator stays usable: a later solve re-creates the
         # pool lazily and reproduces the same bits.
-        coord.install_target(tokens, agg.structure.masks,
-                             agg.structure.demands)
+        install_target(coord, tokens, agg.structure.masks,
+                        agg.structure.demands)
         assert coord.solve().converged
         assert np.array_equal(coord.rows_for(tokens), rows0)
         assert coord.worker_pool is not None
@@ -184,8 +200,8 @@ class TestLifecycle:
             coord.solve()
             pool = coord.worker_pool
             for scale in (1.02, 0.97):
-                coord.install_target(tokens, agg.structure.masks,
-                                     agg.structure.demands * scale)
+                install_target(coord, tokens, agg.structure.masks,
+                                agg.structure.demands * scale)
                 coord.solve()
                 assert coord.worker_pool is pool
 
@@ -200,8 +216,8 @@ class TestLifecycle:
             static0 = pool.static_bytes
             bytes_per_round = set()
             for scale in (1.05, 0.95, 1.01):
-                coord.install_target(tokens, agg.structure.masks,
-                                     agg.structure.demands * scale)
+                install_target(coord, tokens, agg.structure.masks,
+                                agg.structure.demands * scale)
                 b0, r0 = pool.round_bytes, pool.rounds_shipped
                 coord.solve()
                 bytes_per_round.add((pool.round_bytes - b0)
@@ -255,8 +271,8 @@ class TestPayloadCaching:
         coord.solve()
         tokens = list(agg.structure.keys)
         versions0 = [sh.version for sh in coord.shards]
-        coord.install_target(tokens, agg.structure.masks,
-                             agg.structure.demands * 1.1)
+        install_target(coord, tokens, agg.structure.masks,
+                        agg.structure.demands * 1.1)
         assert [sh.version for sh in coord.shards] == versions0
         token = tokens[0]
         src = coord._token_shard[token]

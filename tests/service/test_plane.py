@@ -7,6 +7,7 @@ import pytest
 from repro.core.aggregate import solve_aggregated
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
+from repro.core.reference import solve_reference
 from repro.edr.coordinator import ShardingConfig
 from repro.edr.messages import (
     EventRequest,
@@ -16,9 +17,10 @@ from repro.edr.messages import (
     WireEvent,
 )
 from repro.edr.system import FaultConfig, SolverOptions
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.service.plane import ControlPlane, InProcessControlPlane, \
     ServiceConfig
+from tests.service.batches import BAD_BATCHES, PLANE_CONFIGS, SOLVE, arrival
 
 DEMANDS = [40.0, 60.0, 30.0]
 PRICES = [1.0, 8.0, 1.0, 6.0]
@@ -134,36 +136,70 @@ class TestEvents:
         assert row[1] == 0.0 and row[3] == 0.0
         assert row.sum() == pytest.approx(8.0)
 
-    def test_long_churn_stream_stays_feasible(self):
+    @pytest.mark.parametrize("sharding, always_recovers", [
+        (None, False),
+        (ShardingConfig(n_shards=2), False),
+        (ShardingConfig(n_shards=1, drift_limit=1e-6), True),
+    ], ids=["default", "2-shard", "1-shard-always-recover"])
+    def test_long_churn_stream_stays_feasible(self, sharding,
+                                              always_recovers):
         rng = np.random.default_rng(7)
-        with make_plane() as plane:
+        with make_plane(solver=SolverOptions(sharding=sharding)) as plane:
             plane.solve(solve_request())
-            live = {"a", "b", "c"}
+            registry = {name: (demand, [True] * 4)
+                        for name, demand in zip("abc", DEMANDS)}
             events = []
             for i in range(60):
                 roll = rng.random()
-                if roll < 0.4 or len(live) < 2:
+                if roll < 0.4 or len(registry) < 2:
                     name = f"x{i}"
-                    live.add(name)
-                    events.append(self.arrival(
-                        name, float(rng.uniform(1, 20)),
-                        elig=tuple(int(b) for b in
-                                   rng.random(4) < 0.7) or (1, 1, 1, 1)))
-                    if not any(events[-1].eligibility):
-                        events[-1].eligibility = [1, 1, 1, 1]
+                    elig = [bool(b) for b in rng.random(4) < 0.7]
+                    registry[name] = (float(rng.uniform(1, 20)),
+                                      elig if any(elig) else [True] * 4)
+                    events.append(self.arrival(name, *registry[name]))
                 elif roll < 0.7:
-                    victim = sorted(live)[0]
-                    live.remove(victim)
+                    victim = sorted(registry)[0]
+                    del registry[victim]
                     events.append(WireEvent(kind="departure", client=victim))
                 else:
-                    target = sorted(live)[-1]
+                    target = sorted(registry)[-1]
+                    registry[target] = (float(rng.uniform(1, 25)),
+                                        registry[target][1])
                     events.append(WireEvent(kind="demand_change",
                                             client=target,
-                                            demand=float(rng.uniform(1, 25))))
+                                            demand=registry[target][0]))
             resp = plane.events(EventRequest(events=events))
         assert resp.applied == 60
-        assert sorted(resp.clients) == sorted(live)
+        assert resp.clients == sorted(registry)
         assert max(resp.loads) <= 100.0 + 1e-6
+        if always_recovers:
+            assert resp.resolves == resp.applied
+        # The plane ends at the optimum of the registry it reports.
+        ref = solve_reference(ReplicaSelectionProblem(
+            ProblemData.paper_defaults(
+                [registry[c][0] for c in resp.clients], PRICES,
+                mask=[registry[c][1] for c in resp.clients])))
+        assert resp.objective - ref.objective <= 1e-6 * ref.objective
+
+
+@pytest.mark.parametrize("config", PLANE_CONFIGS)
+class TestRejectedBatches:
+    """Validate-then-apply: a refused batch leaves the plane unchanged."""
+
+    @pytest.mark.parametrize("case", BAD_BATCHES)
+    def test_bad_batch_is_rejected_whole(self, config, case):
+        batch, error, fragment = BAD_BATCHES[case]
+        with InProcessControlPlane(PLANE_CONFIGS[config]) as plane:
+            plane.solve(SolveRequest(**SOLVE))
+            before = plane.events(EventRequest(events=[])).to_json()
+            with pytest.raises(ReproError, match=fragment) as exc:
+                plane.events(EventRequest(events=batch))
+            assert type(exc.value).__name__ == error
+            assert plane.events(EventRequest(events=[])).to_json() == before
+            # ...and stays usable: the valid prefix was not half-applied.
+            ok = plane.events(EventRequest(events=[arrival("d", 5.0)]))
+        assert ok.applied == 1 and "d" in ok.clients
+        assert np.isfinite(ok.loads).all()
 
 
 class TestShardedBackend:

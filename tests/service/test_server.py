@@ -26,9 +26,8 @@ from repro.service import (
     connect,
     serve,
 )
-
-DEMANDS = [40.0, 60.0, 30.0]
-PRICES = [1.0, 8.0, 1.0, 6.0]
+from tests.service.batches import BAD_BATCHES, DEMANDS, PLANE_CONFIGS, \
+    PRICES, SOLVE
 
 
 @pytest.fixture()
@@ -181,6 +180,24 @@ class TestErrorMapping:
 
 #: Prometheus metric-name legality per the text exposition format.
 METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+
+
+@pytest.mark.parametrize("config", PLANE_CONFIGS)
+class TestRejectedBatches:
+    """A refused batch is a typed 400 and leaves the served plane unchanged."""
+
+    @pytest.mark.parametrize("case", BAD_BATCHES)
+    def test_bad_batch_is_typed_400_over_http(self, config, case):
+        batch, error, fragment = BAD_BATCHES[case]
+        with serve(PLANE_CONFIGS[config]) as srv:
+            client = connect(srv.url)
+            client.solve(**SOLVE)
+            before = client.events([]).to_json()
+            with pytest.raises(ServiceError, match=fragment) as exc:
+                client.events(batch)
+            assert exc.value.status == 400
+            assert exc.value.remote_type == error
+            assert client.events([]).to_json() == before
 
 
 class TestMetricsExposition:

@@ -10,10 +10,14 @@ Two contracts enforced repo-wide:
   allowlist grandfathers ergonomic positionals (``solve``'s
   ``algorithm``, ``solve_sharded``'s ``n_shards``, ...); additions to
   that list need a review, not an accident.
+* no private reach-through — the service and the experiments sit on top
+  of the library and read it through its public surface only.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +125,28 @@ def test_allowlist_entries_still_exist():
     for module, func, _param in KEYWORD_ONLY_ALLOWLIST:
         assert (module, func) in live, (
             f"allowlist entry {module}.{func} is no longer public")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+@pytest.mark.parametrize("package", ["service", "experiments"])
+def test_no_private_attribute_reach_through(package):
+    """``x._private`` is legal on ``self``/``cls`` only, in these layers."""
+    hits = []
+    for path in sorted((SRC / package).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                hits.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                            f"{ast.unparse(node)}")
+    assert not hits, f"private attribute reads: {hits}"
+
+
+def test_service_plane_does_not_import_the_incremental_state():
+    """The plane's one event plane is the coordinator, not a state fork."""
+    plane = importlib.import_module("repro.service.plane")
+    assert not hasattr(plane, "IncrementalState")
