@@ -37,7 +37,7 @@ def test_bench_shard_million_clients(benchmark, report_sink):
         fig9.run_sharded_scaling,
         kwargs={"client_counts": (1_000_000,), "n_shards": 4,
                 "n_replicas": 6, "n_patterns": 24,
-                "check_mode": "thread"},
+                "check_mode": "process"},
         rounds=1, iterations=1)
     report_sink("shard_scaling", result.render())
     # The acceptance gate: the 10^6-client point solves end-to-end
@@ -97,7 +97,7 @@ def test_bench_shard_ten_million_clients(benchmark, report_sink):
         fig9.run_sharded_scaling,
         kwargs={"client_counts": (10_000_000,), "n_shards": 4,
                 "n_replicas": 6, "n_patterns": 24,
-                "check_mode": "thread"},
+                "check_mode": "process"},
         rounds=1, iterations=1)
     report_sink("shard_scaling_1e7", result.render())
     assert result.sharded_solve_s[-1] <= WALL_BUDGET_1E7_S

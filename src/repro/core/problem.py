@@ -137,7 +137,7 @@ class ReplicaSelectionProblem:
         negativity = float(-min(P.min(initial=0.0), 0.0))
         return max(demand, capacity, mask, negativity)
 
-    def repair(self, allocation: np.ndarray, sweeps: int = 500,
+    def repair(self, allocation: np.ndarray, sweeps: int = 2000,
                tol: float = 1e-10) -> np.ndarray:
         """Round an approximate solution to a (near-)feasible allocation.
 

@@ -26,7 +26,7 @@ A solve round is Jacobi with an inner Gauss–Seidel polish:
 
 Because every shard responds to the *same* broadcast state, the round's
 outcome is independent of the order — or the process — shards run in:
-serial, threaded and process execution are bit-identical by
+serial and process execution are bit-identical by
 construction, which is what lets the runtime pick concurrency per
 deployment without forfeiting reproducibility.
 

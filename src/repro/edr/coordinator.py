@@ -26,8 +26,8 @@ The exchange protocol (one :meth:`ShardCoordinator.solve` round):
    tolerance.
 
 Because each round's inputs are a single broadcast snapshot, the round
-outcome is independent of shard execution order: ``serial``, ``thread``
-and ``process`` modes are bit-identical (the process worker rebuilds the
+outcome is independent of shard execution order: ``serial`` and
+``process`` modes are bit-identical (the process worker rebuilds the
 shard from its shipped geometry and runs the same code path).  Events
 route to exactly one shard (:meth:`ShardCoordinator.apply_event` /
 :meth:`ShardCoordinator.retarget`) and stay incremental inside it; full
@@ -35,11 +35,11 @@ exchange rounds re-run only when the global residual drifts past the
 refresh threshold, so per-event cost is O(K_s * N) — independent of the
 client count and of the other shards.
 
-The coordinator is a *long-lived* object: its executors — a thread pool
-or the persistent shared-memory worker fleet of :mod:`repro.core.
-shard_workers` — start lazily on the first concurrent round and survive
-across solves and event storms until :meth:`ShardCoordinator.close`
-(also a context manager).  It is elastic, too: when per-shard demand
+The coordinator is a *long-lived* object: its executor — the persistent
+shared-memory worker fleet of :mod:`repro.core.shard_workers` — starts
+lazily on the first concurrent round and survives across solves and
+event storms until :meth:`ShardCoordinator.close` (also a context
+manager).  It is elastic, too: when per-shard demand
 skews past ``rebalance_skew``, individual classes migrate between
 shards *with* their warm rows and client registrations — no plane
 teardown, no allocation change, hence no residual change — and
@@ -55,7 +55,6 @@ path).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -80,7 +79,7 @@ from repro.util.cpus import resolve_workers
 __all__ = ["ShardingConfig", "CoordinatorResult", "RoutedResult",
            "ShardCoordinator", "solve_sharded", "tune_shard_count"]
 
-_MODES = ("serial", "thread", "process")
+_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,16 @@ class ShardingConfig:
     """Tuning for the sharded control plane.
 
     ``mode`` picks shard execution: ``serial`` (deterministic reference,
-    zero concurrency overhead), ``thread`` (shares the numpy kernels
-    across cores) or ``process`` (the shared-memory worker fleet of
-    :mod:`repro.core.shard_workers`, kept alive until ``close()``, for
-    large K) — all three produce bit-identical allocations.  ``tol`` is
-    the global residual bound a solve converges to;
+    zero concurrency overhead) or ``process`` (the shared-memory worker
+    fleet of :mod:`repro.core.shard_workers`, kept alive until
+    ``close()``, for large K) — both produce bit-identical allocations.
+    ``tol`` is the global residual bound a solve converges to;
     ``refresh_residual`` is the looser bound a routed event may leave
     behind before the coordinator schedules full exchange rounds.
     ``warm_cache_entries`` sizes each *shard-local* warm cache (``None``
     derives a fair share of the runtime's global budget).
 
-    ``max_workers`` caps process/thread pool size (``None`` follows the
+    ``max_workers`` caps the process pool size (``None`` follows the
     CPU affinity mask).  Elasticity knobs: once the heaviest
     shard's demand exceeds ``rebalance_skew`` times the mean, routed
     events migrate up to ``rebalance_max_moves`` classes toward lighter
@@ -207,12 +205,16 @@ class ShardCoordinator:
     the classes' packed-mask byte tokens in row order.  Classes are
     partitioned across ``config.n_shards`` shards by demand-balanced
     greedy assignment; ``clients`` optionally pre-registers client ->
-    (token, demand) members, routed to their class's shard.
+    (token, demand) members, routed to their class's shard, and
+    ``allocation`` optionally hands over (K, N) class rows solved
+    elsewhere (row-aligned with ``tokens``) for the shards to hold
+    instead of starting empty.
     """
 
     def __init__(self, data, tokens: Sequence[bytes],
                  config: ShardingConfig | None = None, *,
                  clients: dict[str, tuple[bytes, float]] | None = None,
+                 allocation: np.ndarray | None = None,
                  warm_caches: Sequence[WarmStartCache | None] | None = None,
                  recorder: Recorder | None = None) -> None:
         cfg = config if config is not None else ShardingConfig()
@@ -222,6 +224,10 @@ class ShardCoordinator:
             raise ValidationError("need one token per class row")
         if warm_caches is not None and len(warm_caches) != cfg.n_shards:
             raise ValidationError("need one warm cache per shard")
+        if allocation is not None:
+            allocation = np.asarray(allocation, dtype=float)
+            if allocation.shape != mask.shape:
+                raise ValidationError("need one allocation row per class")
         self.config = cfg
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.B = np.asarray(data.B, dtype=float).copy()
@@ -247,6 +253,7 @@ class ShardCoordinator:
                 s, tokens=stokens, demands=demands[idx],
                 capacities=self.B, prices=self.u, alpha=self.alpha,
                 beta=self.beta, gamma=self.gamma, mask=mask[idx],
+                allocation=None if allocation is None else allocation[idx],
                 clients={c: r for c, r in registry.items() if r[0] in own},
                 warm_cache=warm_caches[s] if warm_caches else None,
                 kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
@@ -260,7 +267,6 @@ class ShardCoordinator:
         self.migrations = 0
         self.resizes = 0
         self._pool: ShardWorkerPool | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
         # (n_shards, max_rows, wall_s) per exchange round — feeds the
         # advisory shard-count tuner, never the arithmetic path.
         self._round_stats: deque = deque(maxlen=256)
@@ -401,22 +407,14 @@ class ShardCoordinator:
         damping = cfg.damping
         best = resid
         stall = 0
-        executor = None
-        if len(self.shards) > 1:
-            if cfg.mode == "thread":
-                if self._thread_pool is None:
-                    self._thread_pool = ThreadPoolExecutor(
-                        max_workers=resolve_workers(len(self.shards),
-                                                    cfg.max_workers))
-                executor = self._thread_pool
-            elif cfg.mode == "process":
-                if self._pool is None:
-                    self._pool = ShardWorkerPool(
-                        max_workers=cfg.max_workers)
-                executor = self._pool
+        pool = None
+        if len(self.shards) > 1 and cfg.mode == "process":
+            if self._pool is None:
+                self._pool = ShardWorkerPool(max_workers=cfg.max_workers)
+            pool = self._pool
         while resid > tol and rounds < max_rounds:
             r0 = perf_counter()
-            results = self._run_round(executor, damping)
+            results = self._run_round(pool, damping)
             round_wall = perf_counter() - r0
             self._round_stats.append(
                 (len(self.shards), self.max_shard_rows, round_wall))
@@ -466,22 +464,19 @@ class ShardCoordinator:
                                  residual=resid, converged=converged,
                                  wall_s=perf_counter() - t0)
 
-    def _run_round(self, executor, damping: float) -> list:
+    def _run_round(self, pool: ShardWorkerPool | None,
+                   damping: float) -> list:
         """One Jacobi round: broadcast backgrounds, gather shard responses.
 
         Backgrounds all come from the same pre-round load snapshot, so
-        the round is order-independent — the three execution modes only
+        the round is order-independent — the two execution modes only
         differ in where the identical arithmetic runs.
         """
         bgs = [self.background(s) for s in range(len(self.shards))]
-        if executor is None:
+        if pool is None:
             return [sh.solve_round(bgs[i], damping)
                     for i, sh in enumerate(self.shards)]
-        if isinstance(executor, ShardWorkerPool):
-            return executor.run_round(self.shards, bgs, damping)
-        return list(executor.map(
-            lambda pair: pair[0].solve_round(pair[1], damping),
-            zip(self.shards, bgs)))
+        return pool.run_round(self.shards, bgs, damping)
 
     # -- event / chunk routing ------------------------------------------------
     def _split_target(self, tokens: Sequence[bytes], masks: np.ndarray,
@@ -828,7 +823,7 @@ class ShardCoordinator:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Release the persistent executors and their shared memory.
+        """Release the persistent worker fleet and its shared memory.
 
         Idempotent, and the coordinator stays usable afterwards: the
         next concurrent solve simply re-creates its executor lazily.
@@ -837,9 +832,6 @@ class ShardCoordinator:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
 
     def __enter__(self) -> "ShardCoordinator":
         return self

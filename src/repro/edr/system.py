@@ -65,6 +65,15 @@ __all__ = ["SolverOptions", "NetConfig", "FaultConfig", "RuntimeConfig",
            "EDRSystem"]
 
 
+#: |class-demand delta| of one chunk transition, as a fraction of the
+#: previous chunk's total demand, beyond which the incremental state
+#: requests a full solve (the drift fallback).  Consecutive sub-batches
+#: have disjoint clients, so an ordinary turnover (old classes drain, new
+#: ones fill) costs about old+new total — this budgets for full turnover
+#: plus a growing batch; a sudden much-larger batch takes the batch solver.
+_INCREMENTAL_DRIFT_LIMIT = 2.5
+
+
 @dataclass
 class SolverOptions:
     """Scheduling/solver knobs: which algorithm runs and how hard.
@@ -77,7 +86,6 @@ class SolverOptions:
 
     #: "lddm" | "cdpsm" | "round_robin" | "weighted"
     algorithm: str = "lddm"
-    solver_kwargs: dict = field(default_factory=dict)
     timing: SolveTimingModel = field(default_factory=SolveTimingModel)
     #: Solve each sub-batch in eligibility-class space (one super-client
     #: per distinct latency-mask row; see :mod:`repro.core.aggregate`).
@@ -90,14 +98,10 @@ class SolverOptions:
     #: Warm-start each sub-batch solve from the previous round's projected
     #: solution (same live replicas and prices; see
     #: :mod:`repro.core.warmstart`).  Membership changes invalidate the
-    #: cache, falling back to a cold start.
+    #: cache, falling back to a cold start.  The per-batch iteration
+    #: budget shrinks adaptively while warm solves keep converging early
+    #: (and resets to the full budget the moment one does not).
     warm_start: bool = True
-    #: With warm starts on, adaptively shrink the per-batch iteration
-    #: budget while warm solves keep converging early (reset to the full
-    #: budget the moment one does not).
-    adaptive_budget: bool = True
-    #: Floor of the adaptive warm-start iteration budget.
-    warm_budget_floor: int = 16
     #: Event-driven incremental path (see :mod:`repro.core.incremental`):
     #: small sub-batches are absorbed by updating the last converged
     #: class-space allocation one class-demand delta at a time on the
@@ -110,14 +114,6 @@ class SolverOptions:
     #: the incremental path; larger ones take the batch solve (their
     #: demand shift is no longer a small perturbation).
     incremental_max_clients: int = 4
-    #: |class-demand delta| of one chunk transition, as a fraction of the
-    #: previous chunk's total demand, beyond which the state requests a
-    #: full solve (the drift fallback).  Consecutive sub-batches have
-    #: disjoint clients, so an ordinary turnover (old classes drain, new
-    #: ones fill) costs about old+new total — the default budgets for
-    #: full turnover plus a growing batch; a sudden much-larger batch
-    #: takes the batch solver.
-    incremental_drift_limit: float = 2.5
     #: Sharded control plane (see :mod:`repro.edr.coordinator`): classes
     #: partition across independent solve shards and a coordinator
     #: reconciles replica capacity with dual-price exchange rounds.
@@ -126,7 +122,7 @@ class SolverOptions:
     #: global residual drifts.  Supersedes the ``incremental`` path when
     #: set; requires ``aggregate=True`` and ``algorithm="lddm"``.
     sharding: "ShardingConfig | None" = None
-    #: Worker budget for the sharded plane's thread/process pools.
+    #: Worker budget for the sharded plane's process pool.
     #: ``None`` follows the process's CPU affinity mask (not the raw
     #: machine core count — container quotas and taskset masks are
     #: respected).  A :class:`~repro.edr.coordinator.ShardingConfig`
@@ -417,7 +413,7 @@ class EDRSystem:
         # allocations + duals, the adaptive iteration budget, and the live
         # set the cache was built against (membership change -> flush).
         self._warm_cache = WarmStartCache(max_entries=opts.warm_cache_entries)
-        self._warm_budget = AdaptiveBudget(floor=opts.warm_budget_floor)
+        self._warm_budget = AdaptiveBudget()
         self._warm_live: tuple[str, ...] = tuple(self.ring.live)
         self._warm_solves = 0
         self._cold_solves = 0
@@ -668,7 +664,6 @@ class EDRSystem:
             # is not worth the decision latency at runtime).
             kwargs = {"max_iter": 150, "tol": 1e-3} \
                 if opts.algorithm == "lddm" else {"max_iter": 100, "tol": 1e-4}
-            kwargs.update(opts.solver_kwargs)
             # Class-space reduction: the solver (and the warm-start cache)
             # see one row per distinct eligibility pattern instead of one
             # per client; cache entries are keyed by the classes' packed
@@ -754,7 +749,7 @@ class EDRSystem:
                         mu0 = recover_mu(solve_problem, initial)
             warm = initial is not None
             base_iter = int(kwargs["max_iter"])
-            if opts.warm_start and opts.adaptive_budget:
+            if opts.warm_start:
                 kwargs["max_iter"] = self._warm_budget.budget(base_iter, warm)
             session = DistributedSolveSession(
                 self.sim, self.network, problem, live, clients,
@@ -800,7 +795,7 @@ class EDRSystem:
                 self._inc_state = IncrementalState(
                     solve_problem.data, list(agg.structure.keys),
                     session.solver_allocation,
-                    drift_limit=opts.incremental_drift_limit)
+                    drift_limit=_INCREMENTAL_DRIFT_LIMIT)
                 self._inc_key = inc_key
         self._announce(assignments)
 

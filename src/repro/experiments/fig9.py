@@ -421,6 +421,7 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
     patterns = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]],
                         dtype=bool)
     event_ms, resolve_ms, gaps = [], [], []
+    sweeps = 0
     kinds: Counter = Counter()
     fallback_reasons: Counter = Counter()
     for i, event in enumerate(churn_events(
@@ -430,6 +431,7 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
         t0 = time.perf_counter()
         result = state.apply_event(event)
         event_ms.append(1e3 * (time.perf_counter() - t0))
+        sweeps += result.sweeps
         if not result.ok:
             fallback_reasons[result.reason or "unknown"] += 1
         if not result.ok or i % int(compare_every) == 0:
@@ -457,7 +459,8 @@ def run_incremental_events(n_clients: int = 10_000, n_events: int = 200,
         arrivals=kinds["ClientArrival"],
         departures=kinds["ClientDeparture"],
         demand_changes=kinds["DemandChange"],
-        extras={"fallback_reasons": dict(fallback_reasons)})
+        extras={"fallback_reasons": dict(fallback_reasons),
+                "sweeps": sweeps})
 
 
 def run_solver_scaling(client_counts=DEFAULT_SCALING_CLIENTS,
@@ -547,7 +550,7 @@ def run_sharded_point(point: int | tuple) -> dict:
     execution mode whose allocation is compared bit-for-bit against the
     serial one (empty string skips the check).
     """
-    defaults = (4, 2013, 6, 24, "thread")
+    defaults = (4, 2013, 6, 24, "process")
     vals = (point,) if isinstance(point, int) else tuple(point)
     count, n_shards, seed, n_replicas, n_patterns, check_mode = \
         (vals + defaults[len(vals) - 1:])[:6]
@@ -582,7 +585,7 @@ def run_sharded_point(point: int | tuple) -> dict:
 def run_sharded_scaling(client_counts=DEFAULT_SHARD_CLIENTS,
                         n_shards: int = 4, seed: int = 2013,
                         n_replicas: int = 6, n_patterns: int = 24,
-                        check_mode: str = "thread",
+                        check_mode: str = "process",
                         jobs: int = 1) -> ShardScalingResult:
     """Compare the sharded plane against the tight monolithic solve.
 

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard the event plane across N shards "
                              "(0 = single incremental state)")
     parser.add_argument("--shard-mode", default="serial",
-                        choices=("serial", "thread", "process"),
+                        choices=("serial", "process"),
                         help="shard execution mode (default: %(default)s)")
     return parser
 

@@ -2,12 +2,12 @@
 
 :class:`ControlPlane` is the protocol both backends implement:
 
-* :class:`InProcessControlPlane` — the library path.  Solves run through
-  :func:`repro.core.solve`; churn events route to one
-  :class:`~repro.edr.coordinator.ShardCoordinator` (a single shard unless
-  sharding is configured), which owns the client registry — the plane
-  keeps no copy; membership is a server-side failure detector fed by
-  agent heartbeats.
+* :class:`InProcessControlPlane` — the library path.  A solve that names
+  its clients runs :func:`repro.core.solve` once and hands the class rows
+  to one :class:`~repro.edr.coordinator.ShardCoordinator` (a single shard
+  unless sharding is configured), which answers it, absorbs the churn
+  events and owns the client registry — the plane keeps no copy;
+  membership is a server-side failure detector fed by agent heartbeats.
 * :class:`repro.service.client.EDRClient` — the HTTP path.  Same
   methods, same wire models, transport is ``urllib`` instead of a
   function call.
@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.aggregate import ClassStructure
+from repro.core.aggregate import aggregate_problem
 from repro.core.api import ALGORITHMS, _option_names, solve as core_solve
 from repro.core.incremental import ClientArrival, ClientDeparture
 from repro.core.params import PAPER_ALPHA, PAPER_BANDWIDTH, PAPER_BETA, \
@@ -55,9 +57,21 @@ from repro.obs.export import to_prometheus_text
 
 __all__ = ["ServiceConfig", "ControlPlane", "InProcessControlPlane"]
 
-#: The event plane of a service whose ``SolverOptions.sharding`` is unset:
-#: the same coordinator, one shard.
-_ONE_SHARD = ShardingConfig(n_shards=1)
+def _client_rows(coord: ShardCoordinator,
+                 members: list[tuple[str, bytes, float]]) -> np.ndarray:
+    """Allocation rows of ``(name, token, demand)`` members, in order.
+
+    A client's row is its class row scaled by its share of the class
+    demand — the state's own ``D``, which the class row sums to.  Solve
+    responses and event snapshots both read the plane through this.
+    """
+    tokens, _, class_demand, rows = coord.class_snapshot()
+    index = {t: k for k, t in enumerate(tokens)}
+    k = np.array([index[token] for _, token, _ in members], dtype=int)
+    demand = np.array([d for _, _, d in members])
+    share = np.divide(demand, class_demand[k], out=np.zeros(k.shape),
+                      where=class_demand[k] > 0.0)
+    return rows[k] * share[:, None]
 
 
 @dataclass
@@ -122,18 +136,27 @@ class InProcessControlPlane:
         self._closed = False
         #: the one event plane, armed by a solve that names its clients
         self._coordinator: ShardCoordinator | None = None
-        #: agent registry the failure detector judges by heartbeat age
-        self._agents: dict[str, dict] = {}
+        #: agent -> last heartbeat time, all the failure detector judges by
+        self._agents: dict[str, float] = {}
 
     # -- solve ---------------------------------------------------------------
     def solve(self, request: SolveRequest) -> SolveResponse:
         """Solve one instance; optionally arm the event plane.
 
-        When ``request.clients`` names the demand rows, the class-space
-        instance arms a :class:`ShardCoordinator` (sharded per the
-        service's :class:`SolverOptions`, one shard otherwise) so a
-        follow-up ``/v1/events`` stream can be absorbed without
-        re-solving from scratch.
+        When ``request.clients`` names the demand rows the solve is one
+        pipeline: group the clients into eligibility classes once, run
+        the requested algorithm once, hand its class rows to a
+        :class:`ShardCoordinator` (sharded per the service's
+        :class:`SolverOptions`, one shard otherwise) and read
+        ``allocation`` / ``loads`` / ``objective`` back from it the way
+        every event snapshot is read — the response equals the next
+        ``events([])`` exactly.  Under ``aggregate`` the algorithm runs
+        in class space; otherwise (``aggregate=False``, ``"reference"``)
+        its client rows are summed per class and the response is the
+        plane's exchangeable expansion of those sums: each client its
+        demand share of its class row, same loads, same objective.
+        Without ``clients`` nothing is armed and the response is the
+        solver's output as is.
         """
         data = self._problem_data(request)
         problem = ReplicaSelectionProblem(data)
@@ -155,26 +178,48 @@ class InProcessControlPlane:
                     "clients must name every demand row exactly once")
             if len(set(clients)) != len(clients):
                 raise ValidationError("client names must be unique")
-        with self._lock:
-            self._check_open()
-            self.recorder.count("service.requests", endpoint="solve")
-            solution = core_solve(problem, algorithm, aggregate=aggregate,
-                                  recorder=self.recorder,
-                                  **dict(request.options))
-            duals = recover_mu(problem, solution.allocation)
-            if clients is not None:
-                self._arm_event_plane(data, list(clients))
+        with self._serving("solve"):
+            t0 = time.perf_counter()
+            options = dict(request.options, recorder=self.recorder)
+            if clients is None:
+                solution = core_solve(problem, algorithm,
+                                      aggregate=aggregate, **options)
+                allocation, loads = solution.allocation, solution.loads
+                objective, n_classes = solution.objective, solution.n_classes
+                duals = recover_mu(problem, allocation)
+            else:
+                agg = aggregate_problem(problem, recorder=self.recorder)
+                structure, tokens = agg.structure, list(agg.structure.keys)
+                solution = core_solve(agg.problem if aggregate else problem,
+                                      algorithm, **options)
+                rows = solution.allocation if aggregate \
+                    else structure.reduce_rows(solution.allocation)
+                members = list(zip(
+                    clients, [tokens[k] for k in structure.class_of_client],
+                    data.R.tolist()))
+                self._teardown_event_plane()
+                self._coordinator = coord = ShardCoordinator(
+                    agg.problem.data, tokens,
+                    self.config.solver.sharding or ShardingConfig(n_shards=1),
+                    clients={name: (token, demand)
+                             for name, token, demand in members},
+                    allocation=rows, recorder=self.recorder)
+                allocation = _client_rows(coord, members)
+                loads, objective = coord.loads, coord.objective()
+                n_classes = agg.n_classes if aggregate else None
+                duals = structure.expand_mu(
+                    recover_mu(agg.problem, coord.rows_for(tokens)))
             return SolveResponse(
-                allocation=solution.allocation.tolist(),
-                objective=float(solution.objective),
+                allocation=allocation.tolist(),
+                objective=float(objective),
                 iterations=int(solution.iterations),
                 converged=bool(solution.converged),
-                loads=solution.loads.tolist(),
+                loads=loads.tolist(),
                 duals=duals.tolist(),
                 method=solution.method,
-                solve_time_s=solution.solve_time_s,
+                solve_time_s=time.perf_counter() - t0,
                 warm_started=solution.warm_started,
-                n_classes=solution.n_classes,
+                n_classes=n_classes,
                 clients=list(clients) if clients is not None else None,
             )
 
@@ -192,20 +237,6 @@ class InProcessControlPlane:
             beta=given(request.beta, PAPER_BETA),
             gamma=given(request.gamma, PAPER_GAMMA))
 
-    def _arm_event_plane(self, data: ProblemData,
-                         clients: list[str]) -> None:
-        """Stand up the coordinator on the solved instance's class space."""
-        self._teardown_event_plane()
-        structure = ClassStructure.from_mask(data.mask, data.R)
-        tokens = list(structure.keys)
-        token_of = [tokens[k] for k in structure.class_of_client]
-        registry = dict(zip(clients, zip(token_of, data.R.tolist())))
-        self._coordinator = ShardCoordinator(
-            structure.reduce_data(data), tokens,
-            self.config.solver.sharding or _ONE_SHARD, clients=registry,
-            recorder=self.recorder)
-        self._coordinator.solve()
-
     def _teardown_event_plane(self) -> None:
         if self._coordinator is not None:
             self._coordinator.close()
@@ -220,9 +251,7 @@ class InProcessControlPlane:
         the post-batch instance against capacity before anything is
         applied, so a rejected batch leaves the plane unchanged.
         """
-        with self._lock:
-            self._check_open()
-            self.recorder.count("service.requests", endpoint="events")
+        with self._serving("events"):
             coord = self._coordinator
             if coord is None:
                 raise ValidationError("no event plane armed; POST /v1/solve "
@@ -230,15 +259,20 @@ class InProcessControlPlane:
             events = [wire_event.to_core() for wire_event in request.events]
             if events:
                 self._validate_batch(coord, events)
-            sweeps = 0
-            reasons: dict[str, int] = {}
-            for event in events:
-                routed = coord.apply_event(event)
-                sweeps += routed.sweeps
-                reason = routed.fallback_reason
-                if reason:
-                    reasons[reason] = reasons.get(reason, 0) + 1
-            return self._event_snapshot(coord, len(events), sweeps, reasons)
+            routed = [coord.apply_event(event) for event in events]
+            reasons = Counter(r.fallback_reason for r in routed
+                              if r.fallback_reason)
+            coord.refresh_loads()
+            registry = sorted(coord.clients())
+            return EventResponse(
+                applied=len(events), resolves=sum(reasons.values()),
+                sweeps=sum(r.sweeps for r in routed),
+                objective=float(coord.objective()),
+                loads=coord.loads.tolist(),
+                clients=[name for name, _, _ in registry],
+                allocation=_client_rows(coord, registry).tolist(),
+                fallback_reasons=dict(reasons),
+            )
 
     @staticmethod
     def _validate_batch(coord: ShardCoordinator, events: list) -> None:
@@ -287,45 +321,14 @@ class InProcessControlPlane:
             gamma=coord.gamma, mask=np.asarray(masks)
         )).require_feasible()
 
-    @staticmethod
-    def _event_snapshot(coord: ShardCoordinator, applied: int, sweeps: int,
-                        reasons: dict[str, int]) -> EventResponse:
-        """Post-stream state: objective, loads, per-client allocation.
-
-        A client's row is its class row scaled by its share of the class
-        demand — the state's own ``D``, which the class row sums to.
-        """
-        coord.refresh_loads()
-        tokens, _, class_demand, rows = coord.class_snapshot()
-        index = {t: k for k, t in enumerate(tokens)}
-        registry = sorted(coord.clients())
-        k = np.array([index[token] for _, token, _ in registry], dtype=int)
-        demand = np.array([d for _, _, d in registry])
-        share = np.divide(demand, class_demand[k], out=np.zeros(k.shape),
-                          where=class_demand[k] > 0.0)
-        return EventResponse(
-            applied=applied, resolves=sum(reasons.values()), sweeps=sweeps,
-            objective=float(coord.objective()), loads=coord.loads.tolist(),
-            clients=[name for name, _, _ in registry],
-            allocation=(rows[k] * share[:, None]).tolist(),
-            fallback_reasons=reasons,
-        )
-
     # -- membership ----------------------------------------------------------
     def register(self, request: RegisterRequest) -> RegisterResponse:
         """Admit an agent; the response dictates its heartbeat cadence."""
         if not request.agent:
             raise ValidationError("agent name must be non-empty")
         faults = self.config.faults
-        with self._lock:
-            self._check_open()
-            self.recorder.count("service.requests", endpoint="register")
-            self._agents[request.agent] = {
-                "registered_at": self._clock(),
-                "last_heartbeat": self._clock(),
-                "capacity_mbps": request.capacity_mbps,
-                "beats": 0,
-            }
+        with self._serving("register"):
+            self._agents[request.agent] = self._clock()
             self.recorder.event("service.register", agent=request.agent)
             return RegisterResponse(
                 agent=request.agent,
@@ -336,26 +339,19 @@ class InProcessControlPlane:
 
     def heartbeat(self, request: HeartbeatRequest) -> HeartbeatResponse:
         """Record a liveness probe; unknown agents are told to register."""
-        with self._lock:
-            self._check_open()
-            self.recorder.count("service.requests", endpoint="heartbeat")
-            entry = self._agents.get(request.agent)
-            if entry is None:
+        with self._serving("heartbeat"):
+            if request.agent not in self._agents:
                 return HeartbeatResponse(agent=request.agent, known=False)
-            entry["last_heartbeat"] = self._clock()
-            entry["beats"] += 1
+            self._agents[request.agent] = self._clock()
             self.recorder.count("service.heartbeats", agent=request.agent)
             return HeartbeatResponse(agent=request.agent, known=True)
 
     def membership(self) -> MembershipResponse:
         """Registered agents, with liveness judged by heartbeat age."""
         faults = self.config.faults
-        with self._lock:
-            self._check_open()
-            self.recorder.count("service.requests", endpoint="membership")
+        with self._serving("membership"):
             now = self._clock()
-            ages = {name: now - entry["last_heartbeat"]
-                    for name, entry in self._agents.items()}
+            ages = {name: now - last for name, last in self._agents.items()}
             live = sorted(name for name, age in ages.items()
                           if age <= faults.hb_timeout)
             return MembershipResponse(
@@ -383,14 +379,17 @@ class InProcessControlPlane:
     def close(self) -> None:
         """Release the event plane (worker pools included); idempotent."""
         with self._lock:
-            if self._closed:
-                return
             self._teardown_event_plane()
             self._closed = True
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValidationError("control plane is closed")
+    @contextmanager
+    def _serving(self, endpoint: str):
+        """Hold the lock for one counted request to an open plane."""
+        with self._lock:
+            if self._closed:
+                raise ValidationError("control plane is closed")
+            self.recorder.count("service.requests", endpoint=endpoint)
+            yield
 
     # -- context manager -----------------------------------------------------
     def __enter__(self) -> "InProcessControlPlane":

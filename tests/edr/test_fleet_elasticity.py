@@ -118,9 +118,8 @@ class TestMigration:
     def test_mode_bit_identity_after_rebalance(self):
         # Auto-rebalance (not a manual migrate) fires during a skewed
         # stream; both modes must migrate the same classes and land on
-        # identical bits.  Thread mode covers the third executor.
-        result = fig9.run_elastic_skew(n_clients=4_000, n_events=30,
-                                       check_mode="thread")
+        # identical bits.
+        result = fig9.run_elastic_skew(n_clients=4_000, n_events=30)
         assert result.migrations >= 1
         assert result.resizes == 0
         assert result.modes_identical

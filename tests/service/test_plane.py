@@ -205,7 +205,7 @@ class TestRejectedBatches:
 class TestShardedBackend:
     def sharded_plane(self):
         return make_plane(solver=SolverOptions(
-            sharding=ShardingConfig(n_shards=2, mode="thread")))
+            sharding=ShardingConfig(n_shards=2, mode="process")))
 
     def varied_request(self):
         # four distinct eligibility classes so two shards get real work
@@ -235,10 +235,13 @@ class TestShardedBackend:
         plane.solve(self.varied_request())
         coordinator = plane._coordinator
         assert coordinator is not None
+        # An arming solve runs no exchange round, so no fleet exists
+        # yet; force one so close() has something to release.
+        coordinator.solve()
+        assert coordinator.worker_pool is not None
         plane.close()
         assert coordinator._closed
-        assert coordinator._thread_pool is None
-        assert coordinator._pool is None
+        assert coordinator.worker_pool is None
         assert plane._coordinator is None
 
 

@@ -271,7 +271,7 @@ class TestLifecycle:
 
     def test_close_releases_sharded_worker_pools(self):
         config = ServiceConfig(solver=SolverOptions(
-            sharding=ShardingConfig(n_shards=2, mode="thread")))
+            sharding=ShardingConfig(n_shards=2, mode="process")))
         server = serve(config)
         client = connect(server.url)
         mask = [[True] * 4, [True, True, False, True],
@@ -280,10 +280,13 @@ class TestLifecycle:
                      mask=mask, clients=["a", "b", "c", "d"])
         coordinator = server.plane._coordinator
         assert coordinator is not None
+        # An arming solve runs no exchange round, so no fleet exists
+        # yet; force one so close() has something to release.
+        coordinator.solve()
+        assert coordinator.worker_pool is not None
         server.close()
         assert coordinator._closed
-        assert coordinator._thread_pool is None
-        assert coordinator._pool is None
+        assert coordinator.worker_pool is None
 
     def test_context_manager_closes(self):
         with serve() as server:

@@ -80,6 +80,25 @@ def test_deleted_legacy_switches_are_type_errors():
         repro.solve(problem, "lddm", batched=False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("solver_kwargs", {}), ("adaptive_budget", True),
+    ("warm_budget_floor", 16), ("incremental_drift_limit", 2.5)])
+def test_never_set_solver_options_are_type_errors(field, value):
+    """Options nobody set became constants; the fields are gone."""
+    from repro.edr.system import SolverOptions
+
+    with pytest.raises(TypeError, match=field):
+        SolverOptions(**{field: value})
+
+
+def test_thread_shard_mode_is_rejected():
+    from repro.edr.coordinator import ShardingConfig
+    from repro.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="serial.*process"):
+        ShardingConfig(mode="thread")
+
+
 def test_promoted_entry_points_are_top_level():
     import repro
 
