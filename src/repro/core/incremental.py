@@ -670,10 +670,11 @@ class IncrementalState:
                      demands: np.ndarray) -> int:
         """Adopt a demand target unconditionally, clearing fallback state.
 
-        The sharded coordinator's recovery path: when a shard declines a
-        :meth:`retarget` (capacity/drift/convergence), the coordinator
-        force-targets every shard and re-fills all rows with full
-        dual-price exchange rounds instead of tearing the plane down.
+        The sharded coordinator's event recovery path: when a shard
+        declines an :meth:`apply_event` (capacity/drift/convergence), the
+        coordinator force-targets it at its own ``D`` and re-fills all
+        rows with full dual-price exchange rounds instead of tearing the
+        plane down.
         Unlike :meth:`retarget` this does **not** re-solve anything —
         rows may no longer sum to their demands afterwards, so the
         caller must run a full rebalance pass (a shard solve round)

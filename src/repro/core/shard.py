@@ -3,9 +3,9 @@
 The sharded control plane splits the class-space instance (the K-row
 reduction :mod:`repro.core.aggregate` produces) across independent
 :class:`SolveShard`\\ s.  Each shard owns a slice of the classes — its
-rows of the allocation, its own :class:`~repro.core.incremental.
+rows of the allocation and its own :class:`~repro.core.incremental.
 IncrementalState` (carrying the slice's drift/fallback accounting and
-client registry) and its own warm-start cache — and best-responds to the
+client registry) — and best-responds to the
 *background*: the column loads every other shard contributes, held fixed
 for one exchange round.  The coordinator that broadcasts backgrounds and
 declares convergence lives in :mod:`repro.edr.coordinator`; this module
@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.core.incremental import IncrementalState
 from repro.core.kernels import waterfill_rows
-from repro.core.warmstart import WarmStartCache
 from repro.errors import ValidationError
 
 __all__ = ["ShardRound", "SolveShard", "partition_classes"]
@@ -136,7 +135,6 @@ class SolveShard:
                  gamma: np.ndarray, mask: np.ndarray,
                  allocation: np.ndarray | None = None,
                  clients: dict[str, tuple[bytes, float]] | None = None,
-                 warm_cache: WarmStartCache | None = None,
                  kkt_rtol: float = 1e-9, max_sweeps: int = 64,
                  drift_limit: float = 2.5) -> None:
         data = _class_slice(demands, capacities, prices, alpha, beta,
@@ -147,7 +145,6 @@ class SolveShard:
         self.state = IncrementalState(
             data, tokens, Q0, clients=clients, drift_limit=drift_limit,
             kkt_rtol=kkt_rtol, max_sweeps=max_sweeps)
-        self.warm_cache = warm_cache
         self.rounds_run = 0
         self.version = next(_VERSION_COUNTER)
         self._static_cache: dict | None = None
@@ -287,43 +284,6 @@ class SolveShard:
         """Adopt a class another shard extracted (warm rows included)."""
         self.state.install_class(token, eligibility, demand, row, clients)
         self.touch()
-
-    # -- warm-start plumbing -------------------------------------------------
-    def warm_seed(self, replicas: Sequence[str], prices: np.ndarray) -> bool:
-        """Seed rows from the shard-local cache; True when anything hit."""
-        if self.warm_cache is None:
-            return False
-        entry = self.warm_cache.lookup(replicas, prices)
-        if entry is None:
-            return False
-        st = self.state
-        hit = False
-        for k, t in enumerate(st.tokens):
-            row = entry.rows.get(t)
-            cached = entry.demands.get(t, 0.0)
-            D = float(st.D[k])
-            if row is None or row.shape != (st.n_replicas,) \
-                    or cached <= 0.0 or D <= 0.0:
-                continue
-            st.Q[k] = np.where(st.masks[k], np.maximum(row, 0.0), 0.0) \
-                * (D / cached)
-            hit = True
-        if hit:
-            st.loads = st.Q.sum(axis=0)
-            # Rows-only write: the fleet republishes Q/loads each round,
-            # so the geometry shipment stays valid.
-            self.touch_demands()
-        return hit
-
-    def store_warm(self, replicas: Sequence[str], prices: np.ndarray,
-                   rounds: int, converged: bool) -> None:
-        """Record the shard's converged rows in its local cache."""
-        if self.warm_cache is None:
-            return
-        st = self.state
-        self.warm_cache.store(replicas, prices, list(st.tokens), st.Q,
-                              st.masks, mu=st.mu(), iterations=rounds,
-                              converged=converged)
 
     # -- process shipping ----------------------------------------------------
     def static_payload(self) -> dict:

@@ -33,7 +33,8 @@ route to exactly one shard (:meth:`ShardCoordinator.apply_event` /
 :meth:`ShardCoordinator.retarget`) and stay incremental inside it; full
 exchange rounds re-run only when the global residual drifts past the
 refresh threshold, so per-event cost is O(K_s * N) — independent of the
-client count and of the other shards.
+client count and of the other shards.  A shard that declines a chunk
+retarget is reported, not repaired: the caller re-solves and re-arms.
 
 The coordinator is a *long-lived* object: its executor — the persistent
 shared-memory worker fleet of :mod:`repro.core.shard_workers` — starts
@@ -41,7 +42,7 @@ lazily on the first concurrent round and survives across solves and
 event storms until :meth:`ShardCoordinator.close` (also a context
 manager).  It is elastic, too: when per-shard demand
 skews past ``rebalance_skew``, individual classes migrate between
-shards *with* their warm rows and client registrations — no plane
+shards *with* their rows and client registrations — no plane
 teardown, no allocation change, hence no residual change — and
 :meth:`ShardCoordinator.resize` / :meth:`~ShardCoordinator.auto_tune`
 re-partition the whole class set onto a different shard count using the
@@ -71,7 +72,6 @@ from repro.core.incremental import (
 from repro.core.shard import SolveShard, partition_classes
 from repro.core.shard_workers import ShardWorkerPool
 from repro.core.solution import Solution
-from repro.core.warmstart import WarmStartCache
 from repro.errors import InfeasibleProblemError, ValidationError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.util.cpus import resolve_workers
@@ -93,8 +93,6 @@ class ShardingConfig:
     ``tol`` is the global residual bound a solve converges to;
     ``refresh_residual`` is the looser bound a routed event may leave
     behind before the coordinator schedules full exchange rounds.
-    ``warm_cache_entries`` sizes each *shard-local* warm cache (``None``
-    derives a fair share of the runtime's global budget).
 
     ``max_workers`` caps the process pool size (``None`` follows the
     CPU affinity mask).  Elasticity knobs: once the heaviest
@@ -109,7 +107,6 @@ class ShardingConfig:
     tol: float = 1e-8
     damping: float = 0.5
     refresh_residual: float = 1e-3
-    warm_cache_entries: int | None = None
     kkt_rtol: float = 1e-9
     max_sweeps: int = 64
     drift_limit: float = 2.5
@@ -130,9 +127,6 @@ class ShardingConfig:
             raise ValidationError("tol must be positive")
         if self.refresh_residual < self.tol:
             raise ValidationError("refresh_residual must be >= tol")
-        if self.warm_cache_entries is not None \
-                and self.warm_cache_entries < 1:
-            raise ValidationError("warm_cache_entries must be >= 1")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValidationError("max_workers must be >= 1")
         if self.rebalance_skew is not None and self.rebalance_skew <= 1.0:
@@ -179,9 +173,10 @@ class RoutedResult:
     """Outcome of a routed event or chunk retarget.
 
     ``rounds`` counts the exchange rounds a residual-triggered refresh
-    (or a fallback recovery) ran — zero for the common absorbed-in-shard
-    case.  ``fallback_reason`` names the shard's decline when the
-    coordinator had to recover through force-target + full rounds.
+    (or an event's fallback recovery) ran — zero for the common
+    absorbed-in-shard case.  ``fallback_reason`` names the shard's
+    decline: recovered in place by :meth:`ShardCoordinator.apply_event`,
+    returned as ``ok=False`` by :meth:`ShardCoordinator.retarget`.
     ``migrations`` counts classes the skew check moved between shards
     while absorbing this event — load-conserving, never a teardown.
     """
@@ -215,15 +210,12 @@ class ShardCoordinator:
                  config: ShardingConfig | None = None, *,
                  clients: dict[str, tuple[bytes, float]] | None = None,
                  allocation: np.ndarray | None = None,
-                 warm_caches: Sequence[WarmStartCache | None] | None = None,
                  recorder: Recorder | None = None) -> None:
         cfg = config if config is not None else ShardingConfig()
         tokens = list(tokens)
         mask = np.asarray(data.mask, dtype=bool)
         if len(tokens) != mask.shape[0]:
             raise ValidationError("need one token per class row")
-        if warm_caches is not None and len(warm_caches) != cfg.n_shards:
-            raise ValidationError("need one warm cache per shard")
         if allocation is not None:
             allocation = np.asarray(allocation, dtype=float)
             if allocation.shape != mask.shape:
@@ -255,7 +247,6 @@ class ShardCoordinator:
                 beta=self.beta, gamma=self.gamma, mask=mask[idx],
                 allocation=None if allocation is None else allocation[idx],
                 clients={c: r for c, r in registry.items() if r[0] in own},
-                warm_cache=warm_caches[s] if warm_caches else None,
                 kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
                 drift_limit=cfg.drift_limit))
         self.loads = np.zeros(self.B.shape[0])
@@ -343,6 +334,28 @@ class ShardCoordinator:
                 raise ValidationError("unknown class token")
             rows[i] = self.shards[s].state.row(t)
         return rows
+
+    def mu_for(self, tokens: Sequence[bytes]) -> np.ndarray:
+        """Per-class multipliers for ``tokens`` at the current loads.
+
+        Each owning shard recovers its classes' multipliers once against
+        its current background (:meth:`~repro.core.incremental.
+        IncrementalState.mu` convention: minus the cheapest eligible
+        marginal), so a single shard returns exactly its state's values.
+        """
+        self.refresh_loads()
+        by_shard: dict[int, list[int]] = {}
+        for i, t in enumerate(tokens):
+            s = self._token_shard.get(t)
+            if s is None:
+                raise ValidationError("unknown class token")
+            by_shard.setdefault(s, []).append(i)
+        mu = np.zeros(len(tokens))
+        for s, idx in by_shard.items():
+            st = self.shards[s].state
+            st.set_background(self.background(s))
+            mu[idx] = st.mu_for([tokens[i] for i in idx])
+        return mu
 
     # -- the client registry (owned by the shards' states) ---------------------
     def registered(self, client: str) -> tuple[bytes, float] | None:
@@ -525,7 +538,11 @@ class ShardCoordinator:
         other shards' loads; classes a shard owns that are absent from
         the target drain to zero inside that shard.  Full exchange
         rounds run only if the resulting global residual exceeds the
-        refresh threshold, or as recovery when a shard declines.
+        refresh threshold.  A shard that declines (capacity, drift,
+        convergence, stale) is *not* repaired here: the call returns
+        ``ok=False`` with the shard's ``fallback_reason`` and the plane
+        is stale — the caller re-solves the target and arms a new plane
+        from that solution (``allocation=``).
         """
         masks = np.asarray(masks, dtype=bool)
         demands = np.asarray(demands, dtype=float)
@@ -540,27 +557,15 @@ class ShardCoordinator:
             sh.state.set_background(self.background(s))
             k0 = sh.state.n_classes
             r = sh.state.retarget(*split[s])
-            if not r.ok:
-                return self._recover(split, r.reason)
             self._touch_after(sh, k0)
+            if not r.ok:
+                self.fallbacks += 1
+                if self.recorder.enabled:
+                    self.recorder.count("shard.fallback", reason=r.reason)
+                return RoutedResult(ok=False, fallback_reason=r.reason)
             events += r.events
             sweeps += r.sweeps
         return self._maybe_refresh(events, sweeps)
-
-    def _recover(self, split: list, reason: str) -> RoutedResult:
-        """A shard declined: force-target everything, re-fill with rounds."""
-        self.fallbacks += 1
-        if self.recorder.enabled:
-            self.recorder.count("shard.fallback", reason=reason)
-        for s, sh in enumerate(self.shards):
-            k0 = sh.state.n_classes
-            sh.state.force_target(*split[s])
-            self._touch_after(sh, k0)
-        res = self.solve()
-        self.refreshes += 1
-        return RoutedResult(ok=True, events=0, sweeps=res.sweeps,
-                            rounds=res.rounds, refreshed=True,
-                            residual=res.residual, fallback_reason=reason)
 
     def _maybe_refresh(self, events: int, sweeps: int) -> RoutedResult:
         """Schedule exchange rounds only when the residual drifted.
@@ -638,8 +643,7 @@ class ShardCoordinator:
     def fail_replica(self, index: int) -> None:
         """Drop a dead replica's column across every shard, mid-flight.
 
-        Shard-local warm caches are invalidated (membership change) and
-        a class left with positive demand but no eligible replica raises
+        A class left with positive demand but no eligible replica raises
         :class:`~repro.errors.InfeasibleProblemError` — the same
         contract the monolithic runtime enforces via its feasibility
         checks.  Call :meth:`solve` afterwards to re-spread the dead
@@ -651,8 +655,6 @@ class ShardCoordinator:
         self.B[j] = 0.0
         for sh in self.shards:
             sh.drop_replica(j)
-            if sh.warm_cache is not None:
-                sh.warm_cache.invalidate()
             st = sh.state
             orphaned = (st.D > 0.0) & ~st.masks.any(axis=1)
             if orphaned.any():
@@ -673,7 +675,7 @@ class ShardCoordinator:
         return max(demands) * len(demands) / total
 
     def migrate_class(self, token: bytes, dest: int) -> None:
-        """Move one class row to shard ``dest`` — warm rows, clients, all.
+        """Move one class row to shard ``dest`` — its row, clients, all.
 
         The row leaves *with* its allocation, so the aggregate loads —
         and therefore the residual — are unchanged: a migration never
@@ -774,8 +776,7 @@ class ShardCoordinator:
 
         Classes move with their allocation rows and client registries,
         so the aggregate loads — and the residual — survive the resize.
-        Shard-local warm caches are reused positionally, and the
-        persistent worker fleet stays up: the new shard geometries
+        The persistent worker fleet stays up: the new shard geometries
         simply ship on the next exchange round.
         """
         n = int(n_shards)
@@ -784,7 +785,6 @@ class ShardCoordinator:
         if n == len(self.shards):
             return
         old_n = len(self.shards)
-        old_caches = [sh.warm_cache for sh in self.shards]
         entries = []
         for sh in self.shards:
             for t in list(sh.state.tokens):
@@ -799,7 +799,6 @@ class ShardCoordinator:
                 capacities=self.B, prices=self.u, alpha=self.alpha,
                 beta=self.beta, gamma=self.gamma,
                 mask=np.zeros((0, self.n_replicas), dtype=bool),
-                warm_cache=old_caches[s] if s < old_n else None,
                 kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
                 drift_limit=cfg.drift_limit))
         self._token_shard = {}
@@ -844,20 +843,6 @@ class ShardCoordinator:
             self.close()
         except Exception:
             pass
-
-    # -- warm-start plumbing ---------------------------------------------------
-    def warm_seed(self, replicas: Sequence[str], prices: np.ndarray) -> bool:
-        """Seed every shard from its local cache; True if anything hit."""
-        hits = [sh.warm_seed(replicas, prices) for sh in self.shards]
-        if any(hits):
-            self.refresh_loads()
-        return any(hits)
-
-    def store_warm(self, replicas: Sequence[str], prices: np.ndarray,
-                   rounds: int, converged: bool) -> None:
-        """Record every shard's rows in its local cache."""
-        for sh in self.shards:
-            sh.store_warm(replicas, prices, rounds, converged)
 
 
 def solve_sharded(problem, n_shards: int = 4, *, mode: str = "serial",

@@ -38,7 +38,6 @@ from repro.core.params import (
     ProblemData,
 )
 from repro.core.problem import ReplicaSelectionProblem
-from repro.core.incremental import IncrementalState
 from repro.core.warmstart import (
     AdaptiveBudget,
     WarmStartCache,
@@ -65,13 +64,9 @@ __all__ = ["SolverOptions", "NetConfig", "FaultConfig", "RuntimeConfig",
            "EDRSystem"]
 
 
-#: |class-demand delta| of one chunk transition, as a fraction of the
-#: previous chunk's total demand, beyond which the incremental state
-#: requests a full solve (the drift fallback).  Consecutive sub-batches
-#: have disjoint clients, so an ordinary turnover (old classes drain, new
-#: ones fill) costs about old+new total — this budgets for full turnover
-#: plus a growing batch; a sudden much-larger batch takes the batch solver.
-_INCREMENTAL_DRIFT_LIMIT = 2.5
+#: Capacity of the cross-batch warm-start cache (converged allocations
+#: keyed by live replicas and prices).
+_WARM_CACHE_ENTRIES = 32
 
 
 @dataclass
@@ -102,38 +97,26 @@ class SolverOptions:
     #: budget shrinks adaptively while warm solves keep converging early
     #: (and resets to the full budget the moment one does not).
     warm_start: bool = True
-    #: Event-driven incremental path (see :mod:`repro.core.incremental`):
-    #: small sub-batches are absorbed by updating the last converged
-    #: class-space allocation one class-demand delta at a time on the
+    #: Event plane (see :mod:`repro.core.incremental` and
+    #: :mod:`repro.edr.coordinator`): every batch solve arms a
+    #: :class:`~repro.edr.coordinator.ShardCoordinator` with its
+    #: converged class-space rows, and small sub-batches are absorbed by
+    #: retargeting those rows one class-demand delta at a time on the
     #: lead replica — no per-iteration network rounds — falling back to
-    #: the batch solve when the state declines (capacity, drift,
-    #: convergence) or is keyed to different live replicas / prices.
-    #: Requires ``aggregate=True`` (the state lives in class space).
+    #: the batch solve (which re-arms the plane) when the plane declines
+    #: (capacity, drift, convergence) or is keyed to different live
+    #: replicas / prices.  Requires ``aggregate=True`` (the plane lives
+    #: in class space).
     incremental: bool = False
     #: Sub-batches with at most this many distinct clients route through
-    #: the incremental path; larger ones take the batch solve (their
-    #: demand shift is no longer a small perturbation).
+    #: the event plane; larger ones take the batch solve (their demand
+    #: shift is no longer a small perturbation).
     incremental_max_clients: int = 4
-    #: Sharded control plane (see :mod:`repro.edr.coordinator`): classes
-    #: partition across independent solve shards and a coordinator
-    #: reconciles replica capacity with dual-price exchange rounds.
-    #: Chunks retarget shard-locally (each shard re-solves only its own
-    #: rows against the others' loads) and full rounds run only when the
-    #: global residual drifts.  Supersedes the ``incremental`` path when
-    #: set; requires ``aggregate=True`` and ``algorithm="lddm"``.
+    #: Shard layout of the event plane (classes partition across solve
+    #: shards; see :mod:`repro.edr.coordinator`).  Setting it turns the
+    #: event plane on; ``None`` with ``incremental=True`` is one shard.
+    #: Requires ``aggregate=True`` and ``algorithm="lddm"``.
     sharding: "ShardingConfig | None" = None
-    #: Worker budget for the sharded plane's process pool.
-    #: ``None`` follows the process's CPU affinity mask (not the raw
-    #: machine core count — container quotas and taskset masks are
-    #: respected).  A :class:`~repro.edr.coordinator.ShardingConfig`
-    #: with its own ``max_workers`` set wins over this knob.
-    max_workers: int | None = None
-    #: Capacity of the global warm-start cache; shard-local caches (one
-    #: per shard when ``sharding`` is set) each get a fair share
-    #: ``max(1, warm_cache_entries // n_shards)`` unless the
-    #: :class:`~repro.edr.coordinator.ShardingConfig` overrides it — so
-    #: K shards never multiply the cache memory K-fold silently.
-    warm_cache_entries: int = 32
     #: For ``algorithm="weighted"``: fixed per-replica split weights
     #: (normalized internally).  A static, oblivious scheduler — used by
     #: the planning-model validation experiment and as an extra baseline.
@@ -147,12 +130,9 @@ class SolverOptions:
             raise ValidationError(
                 "incremental=True requires aggregate=True (the event "
                 "state lives in eligibility-class space)")
-        if self.incremental and self.incremental_max_clients < 1:
+        if (self.incremental or self.sharding is not None) \
+                and self.incremental_max_clients < 1:
             raise ValidationError("incremental_max_clients must be >= 1")
-        if self.warm_cache_entries < 1:
-            raise ValidationError("warm_cache_entries must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValidationError("max_workers must be >= 1")
         if self.sharding is not None:
             if not self.aggregate:
                 raise ValidationError(
@@ -412,46 +392,25 @@ class EDRSystem:
         # Cross-batch warm-start state (LDDM/CDPSM): cache of converged
         # allocations + duals, the adaptive iteration budget, and the live
         # set the cache was built against (membership change -> flush).
-        self._warm_cache = WarmStartCache(max_entries=opts.warm_cache_entries)
+        self._warm_cache = WarmStartCache(max_entries=_WARM_CACHE_ENTRIES)
         self._warm_budget = AdaptiveBudget()
         self._warm_live: tuple[str, ...] = tuple(self.ring.live)
         self._warm_solves = 0
         self._cold_solves = 0
-        # Incremental event path: the converged class-space state from the
-        # last batch solve, keyed to (live replicas, prices) like a warm
-        # cache entry; rebuilt after every batch solve, dropped on decline.
-        self._inc_state: "IncrementalState | None" = None
-        self._inc_key: tuple | None = None
+        # The event plane: one coordinator (one shard unless ``sharding``
+        # lays out more) armed from every batch solve's class rows, keyed
+        # to (live replicas, prices) like a warm cache entry, replaced on
+        # decline by the next solve's rows.
+        self._plane_cfg: "ShardingConfig | None" = None
+        if opts.incremental or opts.sharding is not None:
+            self._plane_cfg = opts.sharding or ShardingConfig(n_shards=1)
+        self._plane: "ShardCoordinator | None" = None
+        self._plane_key: tuple | None = None
         self._inc_events = 0
         self._inc_chunks = 0
-        self._inc_fallbacks = 0
-        # Sharded control plane: a persistent coordinator keyed to (live
-        # replicas, prices) like the incremental state, plus one
-        # shard-local warm cache per shard (sized from the global
-        # warm_cache_entries budget so shards don't multiply memory).
-        self._shard_coord: "ShardCoordinator | None" = None
-        self._shard_key: tuple | None = None
-        self._shard_cfg: "ShardingConfig | None" = None
-        self._shard_chunks = 0
-        self._shard_events = 0
-        self._shard_rounds = 0
-        self._shard_refreshes = 0
-        self._shard_fallbacks = 0
-        self._shard_migrations = 0
-        self._shard_caches: list[WarmStartCache] | None = None
-        if opts.sharding is not None:
-            per_shard = opts.sharding.warm_cache_entries \
-                if opts.sharding.warm_cache_entries is not None \
-                else max(1, opts.warm_cache_entries // opts.sharding.n_shards)
-            self._shard_caches = [WarmStartCache(max_entries=per_shard)
-                                  for _ in range(opts.sharding.n_shards)]
-            # The runtime-level worker budget flows into the shard
-            # config unless the latter pins its own.
-            self._shard_cfg = opts.sharding
-            if opts.max_workers is not None \
-                    and opts.sharding.max_workers is None:
-                self._shard_cfg = dataclasses.replace(
-                    opts.sharding, max_workers=opts.max_workers)
+        self._inc_fallback_reasons: dict[str, int] = {}
+        self._plane_rounds = 0
+        self._plane_migrations = 0
         if cfg.faults.standby_after is not None:
             if cfg.faults.standby_after <= 0:
                 raise ValidationError("standby_after must be positive")
@@ -669,65 +628,27 @@ class EDRSystem:
             # per client; cache entries are keyed by the classes' packed
             # mask tokens, which outlive any particular client set.
             agg = problem.aggregated() if opts.aggregate else None
-            # Sharded control plane: the chunk retargets each shard's
-            # own class rows against the other shards' loads; full
-            # dual-price exchange rounds run only when the plane is
-            # (re)built or the global residual drifts.
-            if opts.sharding is not None and agg is not None:
-                yield from self._schedule_chunk_sharded(
-                    chunk, clients, demands, problem, agg, live)
-                return
-            # Incremental event path: a small sub-batch is a per-class
-            # demand delta on the last converged state — apply it on the
-            # lead (one RTT + O(K*N) compute) instead of a batch solve.
-            # The state is keyed to (live, prices) exactly like a warm
-            # cache entry; any decline drops it and takes the batch path.
-            inc_key = (tuple(live), problem.data.u.tobytes())
-            if (opts.incremental and agg is not None
-                    and len(clients) <= opts.incremental_max_clients
-                    and self._inc_state is not None
-                    and self._inc_key == inc_key):
-                result = self._inc_state.retarget(
+            # Event plane: a small sub-batch is a per-class demand delta
+            # on the plane's rows — apply it on the lead (one RTT +
+            # O(K*N) compute) instead of a batch solve.  The plane is
+            # keyed to (live, prices) exactly like a warm cache entry;
+            # any decline takes the batch path, which re-arms it.
+            plane_key = (tuple(live), problem.data.u.tobytes())
+            if (self._plane is not None and self._plane_key == plane_key
+                    and len(clients) <= opts.incremental_max_clients):
+                result = self._plane.retarget(
                     list(agg.structure.keys), agg.structure.masks,
                     agg.structure.demands)
                 if result.ok:
-                    # One RTT to the lead plus the O(K*N) update — no
-                    # per-iteration solve rounds over the network.
-                    delay = 2 * cfg.net.lan_latency + opts.timing.event_time(
-                        result.events, result.sweeps)
-                    yield self.sim.timeout(delay)
-                    tokens = list(agg.structure.keys)
-                    rows = self._inc_state.rows_for(tokens)
-                    self._inc_chunks += 1
-                    self._inc_events += result.events
-                    if opts.warm_start:
-                        # Keep the warm layer coherent: the next *batch*
-                        # solve warm-starts from the updated allocation.
-                        self._warm_cache.store(
-                            live, problem.data.u, tokens, rows,
-                            agg.structure.masks,
-                            mu=self._inc_state.mu_for(tokens),
-                            iterations=0, converged=True)
-                    lead = live[0]
-                    self._busy_end[lead] = max(self._busy_end[lead],
-                                               self.sim.now)
-                    rec = self.recorder
-                    if rec.enabled:
-                        rec.count("incremental.event", result.events)
-                        rec.event(
-                            "runtime.incremental", sim_time=self.sim.now,
-                            n_requests=len(chunk), n_clients=len(clients),
-                            events=result.events, sweeps=result.sweeps,
-                            solve_sim_s=delay)
-                    self._announce(self._shares_per_request(
-                        chunk, clients, demands,
-                        agg.structure.expand_rows(rows), live))
+                    yield from self._absorb_chunk(
+                        chunk, clients, demands, problem, agg, live, result)
                     return
-                self._inc_fallbacks += 1
-                self._inc_state = None
+                reason = result.fallback_reason
+                self._inc_fallback_reasons[reason] = \
+                    self._inc_fallback_reasons.get(reason, 0) + 1
                 if self.recorder.enabled:
                     self.recorder.count("incremental.fallback",
-                                        reason=result.reason)
+                                        reason=reason)
             solve_problem = problem if agg is None else agg.problem
             warm_tokens = clients if agg is None else list(agg.structure.keys)
             warm_mask = solve_problem.data.mask
@@ -788,104 +709,60 @@ class EDRSystem:
                 self._busy_end[r] = max(self._busy_end[r], self.sim.now)
             assignments = self._shares_per_request(
                 chunk, clients, demands, session.allocation, live)
-            if opts.incremental and agg is not None:
-                # Rebuild the event state from the converged class-space
-                # allocation; subsequent small sub-batches at the same
-                # (live, prices) key are absorbed as events.
-                self._inc_state = IncrementalState(
-                    solve_problem.data, list(agg.structure.keys),
-                    session.solver_allocation,
-                    drift_limit=_INCREMENTAL_DRIFT_LIMIT)
-                self._inc_key = inc_key
+            if self._plane_cfg is not None:
+                # Arm the plane with the session's class rows; later
+                # small sub-batches at the same key retarget them.
+                if self._plane is not None:
+                    self._plane_migrations += self._plane.migrations
+                    self._plane.close()
+                self._plane = ShardCoordinator(
+                    agg.problem.data, list(agg.structure.keys),
+                    self._plane_cfg, allocation=session.solver_allocation,
+                    recorder=self.recorder)
+                self._plane_key = plane_key
         self._announce(assignments)
 
-    def _schedule_chunk_sharded(self, chunk: list[dict], clients: list[str],
-                                demands: dict, problem, agg, live):
-        """Route one chunk through the sharded dual-price control plane.
+    def _absorb_chunk(self, chunk, clients, demands, problem, agg, live,
+                      result):
+        """Announce a chunk the event plane absorbed (``result.ok``).
 
-        The coordinator persists across chunks under one (live replicas,
-        prices) key — membership or price changes rebuild it (shard
-        caches survive price rotations but not membership changes,
-        mirroring the warm-start invalidation rules).  Decision latency
-        charges one lead RTT plus the shard-local event work, plus one
-        broadcast/gather RTT and the widest shard's compute per exchange
-        round actually run.
+        Decision latency charges one lead RTT plus the plane's event
+        work, plus one broadcast/gather RTT and the widest shard's
+        compute per refresh round the retarget ran.
         """
         cfg = self.config
         opts = cfg.solver
-        rec = self.recorder
-        key = (tuple(live), problem.data.u.tobytes())
-        tokens = list(agg.structure.keys)
-        fallback_reason = None
-        if self._shard_coord is None or self._shard_key != key:
-            if self._shard_coord is not None:
-                # Retire the stale plane: bank its migration count and
-                # release its executors/shared memory before rebuilding.
-                self._shard_migrations += self._shard_coord.migrations
-                self._shard_coord.close()
-            if self._shard_key is not None and self._shard_caches \
-                    and self._shard_key[0] != key[0]:
-                for cache in self._shard_caches:
-                    cache.invalidate()
-            coord = ShardCoordinator(
-                agg.problem.data, tokens, self._shard_cfg,
-                warm_caches=self._shard_caches, recorder=rec)
-            warm = opts.warm_start and coord.warm_seed(live, problem.data.u)
-            res = coord.solve()
-            self._shard_coord = coord
-            self._shard_key = key
-            if opts.warm_start:
-                coord.store_warm(live, problem.data.u, res.rounds,
-                                 res.converged)
-            if warm:
-                self._warm_solves += 1
-            else:
-                self._cold_solves += 1
-            events, sweeps = coord.n_classes, res.sweeps
-            rounds, refreshed = res.rounds, True
-        else:
-            coord = self._shard_coord
-            out = coord.retarget(tokens, agg.structure.masks,
-                                 agg.structure.demands)
-            events, sweeps = out.events, out.sweeps
-            rounds, refreshed = out.rounds, out.refreshed
-            fallback_reason = out.fallback_reason
-            if fallback_reason is not None:
-                self._shard_fallbacks += 1
-            if opts.warm_start and refreshed:
-                coord.store_warm(live, problem.data.u, rounds, True)
+        plane = self._plane
         delay = 2 * cfg.net.lan_latency \
-            + opts.timing.event_time(events, sweeps) \
-            + rounds * opts.timing.round_time(coord.max_shard_rows,
-                                              cfg.net.lan_latency)
+            + opts.timing.event_time(result.events, result.sweeps) \
+            + result.rounds * opts.timing.round_time(plane.max_shard_rows,
+                                                     cfg.net.lan_latency)
         yield self.sim.timeout(delay)
-        self._shard_chunks += 1
-        self._shard_events += events
-        self._shard_rounds += rounds
-        if refreshed:
-            self._shard_refreshes += 1
-        self._solve_time_total += delay
-        self._solve_iterations += rounds
-        if rounds:
-            # Exchange rounds involve every live replica (price
-            # broadcast/gather); a shard-absorbed chunk only the lead.
-            for r in live:
-                self._busy_end[r] = max(self._busy_end[r], self.sim.now)
-        else:
-            lead = live[0]
-            self._busy_end[lead] = max(self._busy_end[lead], self.sim.now)
+        tokens = list(agg.structure.keys)
+        rows = plane.rows_for(tokens)
+        self._inc_chunks += 1
+        self._inc_events += result.events
+        self._plane_rounds += result.rounds
+        if opts.warm_start:
+            # Keep the warm layer coherent: the next *batch* solve
+            # warm-starts from the updated allocation.
+            self._warm_cache.store(
+                live, problem.data.u, tokens, rows, agg.structure.masks,
+                mu=plane.mu_for(tokens), iterations=0, converged=True)
+        # Refresh rounds involve every live replica (price broadcast /
+        # gather); a chunk absorbed without them only the lead.
+        for r in (live if result.rounds else live[:1]):
+            self._busy_end[r] = max(self._busy_end[r], self.sim.now)
+        rec = self.recorder
         if rec.enabled:
-            rec.count("shard.event", events)
+            rec.count("incremental.event", result.events)
             rec.event(
-                "runtime.shard", sim_time=self.sim.now,
+                "runtime.incremental", sim_time=self.sim.now,
                 n_requests=len(chunk), n_clients=len(clients),
-                events=events, sweeps=sweeps, rounds=rounds,
-                refreshed=refreshed, fallback=fallback_reason,
-                solve_sim_s=delay)
-        rows = coord.rows_for(tokens)
+                events=result.events, sweeps=result.sweeps,
+                rounds=result.rounds, solve_sim_s=delay)
         self._announce(self._shares_per_request(
-            chunk, clients, demands,
-            agg.structure.expand_rows(rows), live))
+            chunk, clients, demands, agg.structure.expand_rows(rows), live))
 
     def _announce(self, assignments: dict) -> None:
         """Send a chunk's ASSIGN decisions from the lead replica."""
@@ -959,10 +836,10 @@ class EDRSystem:
             site.meter.stop()
         if self.heartbeats is not None:
             self.heartbeats.stop()
-        if self._shard_coord is not None:
+        if self._plane is not None:
             # Release the worker fleet's executors and shared memory;
             # the coordinator itself stays warm for a follow-up run.
-            self._shard_coord.close()
+            self._plane.close()
         from repro.cluster.pricing import JOULES_PER_KWH
         # Paper accounting: integrate each replica's power over its own
         # execution window [0, busy_end] — a replica is "done" when it has
@@ -997,15 +874,14 @@ class EDRSystem:
                 "cold_solves": self._cold_solves,
                 "incremental_chunks": self._inc_chunks,
                 "incremental_events": self._inc_events,
-                "incremental_fallbacks": self._inc_fallbacks,
-                "shard_chunks": self._shard_chunks,
-                "shard_events": self._shard_events,
-                "shard_rounds": self._shard_rounds,
-                "shard_refreshes": self._shard_refreshes,
-                "shard_fallbacks": self._shard_fallbacks,
-                "shard_migrations": self._shard_migrations + (
-                    self._shard_coord.migrations
-                    if self._shard_coord is not None else 0),
+                "incremental_fallbacks":
+                    sum(self._inc_fallback_reasons.values()),
+                "incremental_fallback_reasons":
+                    dict(self._inc_fallback_reasons),
+                "shard_rounds": self._plane_rounds,
+                "shard_migrations": self._plane_migrations + (
+                    self._plane.migrations
+                    if self._plane is not None else 0),
                 "warm_cache_invalidations":
                     self._warm_cache.invalidations,
                 "retries": sum(c.retries for c in self.clients.values()),

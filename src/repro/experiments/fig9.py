@@ -105,8 +105,8 @@ def run_point(point: int | tuple, recorder=None) -> dict:
     ``(count, warm_start[, aggregate[, max_clients[, sharding]]])``
     tuple — so it pickles cleanly into worker processes and gives
     bit-identical results at any ``--jobs`` level (every random draw
-    derives from the scenario's fixed seed).  ``sharding`` routes EDR's
-    scheduling through the sharded control plane: a shard count or a
+    derives from the scenario's fixed seed).  ``sharding`` lays EDR's
+    event plane out over shards (and turns it on): a shard count or a
     :class:`~repro.edr.coordinator.ShardingConfig`.  ``recorder``
     threads a :class:`~repro.obs.Recorder` through the EDR runtime
     (serial sweeps only — events captured in worker processes would be
@@ -154,8 +154,8 @@ def run(request_counts=DEFAULT_REQUEST_COUNTS, jobs: int = 1,
     disables the class-space solve; ``max_clients`` lifts the paper's
     24-client population cap so the sweep can grow the client count with
     the request count; ``sharding`` (a shard count or a
-    :class:`~repro.edr.coordinator.ShardingConfig`) routes EDR through
-    the sharded dual-price control plane.  An enabled ``recorder``
+    :class:`~repro.edr.coordinator.ShardingConfig`) lays EDR's event
+    plane out over that many shards.  An enabled ``recorder``
     forces ``jobs=1`` — events captured inside worker processes would
     be lost.
     """

@@ -18,14 +18,15 @@ Counters (aggregated in-recorder, exported once):
 ``warmstart.hit``           solves seeded from the warm-start cache
 ``warmstart.miss``          cold-started solves
 ``warmstart.invalidation``  cache flushes (membership changes)
-``incremental.event``       sub-batches absorbed by the incremental
-                            delta-event path (no batch solve)
-``incremental.fallback``    incremental updates declined (capacity /
-                            drift / convergence) -> full warm solve
-``shard.event``             events/chunk deltas absorbed inside one
-                            solve shard (label ``shard``)
-``shard.fallback``          shard declines recovered by force-target +
-                            exchange rounds (label ``reason``)
+``incremental.event``       class-demand deltas the runtime's event plane
+                            absorbed (no batch solve)
+``incremental.fallback``    runtime chunks the event plane declined
+                            (label ``reason``) -> batch solve + re-arm
+``shard.event``             client events absorbed inside one solve
+                            shard (label ``shard``)
+``shard.fallback``          shard declines (label ``reason``): events
+                            recover by force-target + exchange rounds,
+                            chunk retargets report ``ok=False``
 ``coordinator.refresh``     residual-triggered full exchange-round
                             refreshes of the sharded plane
 ``coordinator.migration``   classes migrated between shards by the
@@ -92,7 +93,7 @@ EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
     "runtime.batch": ("sim_time", "algorithm", "n_requests", "n_clients",
                       "n_classes", "iterations", "converged", "warm_started",
                       "solve_sim_s"),
-    # One per sub-batch absorbed by the incremental delta-event path
+    # One per sub-batch absorbed by the runtime's event plane
     # (class-demand changes applied + refinement sweeps, no batch solve).
     "runtime.incremental": ("sim_time", "n_requests", "n_clients",
                             "events", "sweeps", "solve_sim_s"),
@@ -110,9 +111,6 @@ EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
                                 "skew_after"),
     # One per explicit shard-count resize (auto_tune or direct).
     "coordinator.resize": ("from_shards", "to_shards", "n_classes"),
-    # One per EDR runtime chunk routed through the sharded plane.
-    "runtime.shard": ("sim_time", "n_requests", "n_clients", "events",
-                      "sweeps", "rounds", "refreshed", "solve_sim_s"),
     # One per coalesced ASSIGN batch a client turned into downloads.
     "runtime.traffic": ("sim_time", "client", "n_requests", "n_parts",
                         "n_flows", "mb"),

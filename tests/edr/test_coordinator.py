@@ -6,17 +6,21 @@ aggregated solve, both execution modes produce the same bits, a
 shard holding essentially all the load still converges, a replica dying
 mid-exchange is recovered in place, and routed events keep the plane
 within the refresh residual — including the force-target fallback when
-a shard declines.
+a shard declines an event, and the reported (not repaired) decline of a
+chunk retarget, which a one-shard plane answers exactly as a bare
+:class:`~repro.core.incremental.IncrementalState` does.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.aggregate import aggregate_problem, solve_aggregated
 from repro.core.incremental import (
     ClientArrival,
     ClientDeparture,
     DemandChange,
+    IncrementalState,
 )
 from repro.core.model import total_energy
 from repro.core.params import ProblemData
@@ -69,8 +73,6 @@ class TestConfig:
             ShardingConfig(damping=1.5)
         with pytest.raises(ValidationError):
             ShardingConfig(tol=1e-3, refresh_residual=1e-6)
-        with pytest.raises(ValidationError):
-            ShardingConfig(warm_cache_entries=0)
 
     def test_token_count_checked(self):
         data, tokens = _class_space([10.0, 20.0])
@@ -305,6 +307,21 @@ class TestEventRouting:
         reg = coord.registered("c0")
         assert reg is not None and reg[1] == pytest.approx(50.0)
 
+    def test_retarget_decline_is_reported_not_repaired(self):
+        # A hair-trigger drift limit makes the owning shard decline the
+        # chunk; the coordinator says so and runs no exchange rounds —
+        # the caller re-solves and re-arms a plane from that solution.
+        problem, coord = self._converged_coord(drift_limit=1e-9)
+        agg = aggregate_problem(problem)
+        rounds, fallbacks = coord.rounds_total, coord.fallbacks
+        r = coord.retarget(list(agg.structure.keys), agg.structure.masks,
+                           agg.structure.demands * 1.5)
+        assert not r.ok
+        assert r.fallback_reason == "drift"
+        assert (r.events, r.sweeps, r.rounds) == (0, 0, 0)
+        assert coord.fallbacks == fallbacks + 1
+        assert coord.rounds_total == rounds
+
     def test_retarget_moves_the_plane(self):
         problem, coord = self._converged_coord()
         agg = aggregate_problem(problem)
@@ -317,3 +334,68 @@ class TestEventRouting:
             <= coord.config.refresh_residual + 1e-12
         total = sum(sh.demand() for sh in coord.shards)
         assert total == pytest.approx(float(demands.sum()))
+
+
+@st.composite
+def _retarget_case(draw):
+    """A random masked class instance plus a random retarget sequence.
+
+    Every step scales each class demand by a factor in [0, 4] (0 drains
+    the class); at least one factor differs from 1, so every step
+    changes at least one class demand.
+    """
+    seed = draw(st.integers(0, 10_000))
+    problem = random_instance(
+        seed, n_clients=draw(st.integers(1, 10)),
+        n_replicas=draw(st.integers(1, 5)), masked=True,
+        tight=draw(st.booleans()))
+    n_classes = aggregate_problem(problem).n_classes
+    factor = st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0])
+    steps = draw(st.lists(
+        st.lists(factor, min_size=n_classes, max_size=n_classes).filter(
+            lambda fs: any(f != 1.0 for f in fs)),
+        min_size=1, max_size=6))
+    return problem, steps
+
+
+class TestOneShardIsTheIncrementalState:
+    @settings(max_examples=60, deadline=None)
+    @given(_retarget_case())
+    def test_retarget_sequences_match_the_bare_state(self, case):
+        """A one-shard plane and a bare ``IncrementalState`` agree exactly.
+
+        Both hold the same converged rows (``allocation=Q``) and see the
+        same retarget sequence; every step must return the same ``ok``,
+        reason, events and sweeps, bit-equal rows and equal multipliers.
+        The one divergence this excludes by construction: a retarget
+        that changes nothing, right after the plane adopted rows whose
+        residual is above ``refresh_residual``, runs one refresh round
+        on the plane and nothing on the state (never the case on the
+        traffic replay, whose worst post-retarget residual is ~1e-11
+        against the 1e-3 threshold).
+        """
+        problem, steps = case
+        agg = aggregate_problem(problem)
+        tokens = list(agg.structure.keys)
+        masks = agg.structure.masks
+        data = agg.problem.data
+        solved = ShardCoordinator(data, tokens, ShardingConfig(n_shards=1))
+        assume(solved.solve().converged)
+        Q = solved.rows_for(tokens)
+        plane = ShardCoordinator(data, tokens, ShardingConfig(n_shards=1),
+                                 allocation=Q)
+        state = IncrementalState(data, tokens, Q, drift_limit=2.5,
+                                 kkt_rtol=1e-9)
+        demands = agg.structure.demands.copy()
+        for factors in steps:
+            demands = demands * np.asarray(factors)
+            got = plane.retarget(tokens, masks, demands)
+            want = state.retarget(tokens, masks, demands)
+            assert got.ok == want.ok
+            assert got.fallback_reason == want.reason
+            assert (got.events, got.sweeps) == (want.events, want.sweeps)
+            assert got.rounds == 0
+            assert np.array_equal(plane.rows_for(tokens),
+                                  state.rows_for(tokens))
+            assert np.array_equal(plane.mu_for(tokens),
+                                  state.mu_for(tokens))

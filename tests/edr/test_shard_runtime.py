@@ -1,11 +1,12 @@
-"""Runtime integration of the sharded dual-price control plane.
+"""Runtime integration of the sharded event plane.
 
-``RuntimeConfig.sharding`` routes scheduling chunks through a
-:class:`~repro.edr.coordinator.ShardCoordinator` instead of batch
-solves — these tests pin that the path fires, delivers the same work as
-the monolithic runtime at comparable energy, survives a mid-run replica
-crash (plane rebuild on the shrunken live set), sizes the shard-local
-warm caches from the global budget, and records the obs taxonomy.
+``SolverOptions.sharding`` lays out the runtime's one event plane — a
+:class:`~repro.edr.coordinator.ShardCoordinator` armed from every batch
+solve — over several shards.  These tests pin that the plane fires,
+delivers the same work as the monolithic runtime at comparable energy,
+survives a mid-run replica crash (re-armed on the shrunken live set),
+answers independently of the shard count where classes do not
+interact, reports why it declines, and records the obs taxonomy.
 """
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from repro.edr.coordinator import ShardingConfig
 from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
+from repro.experiments import make_trace
+from repro.experiments.fig6_fig7 import traffic_scenario
 from repro.obs import TraceRecorder
 from repro.obs.events import validate_record
 
@@ -41,17 +44,13 @@ class TestConfigValidation:
                 solver=SolverOptions(
                     sharding=ShardingConfig(), algorithm="cdpsm"))
 
-    def test_warm_cache_entries_positive(self):
-        with pytest.raises(ValidationError):
-            RuntimeConfig(solver=SolverOptions(warm_cache_entries=0))
-
 
 class TestShardedRuntime:
     def test_sharded_path_fires_and_delivers(self):
         trace = burst_trace(count=30, n_clients=12, rate=10.0, seed=3)
         _, res = _run(trace)
-        assert res.extras["shard_chunks"] >= 1
-        assert res.extras["shard_events"] >= 1
+        assert res.extras["incremental_chunks"] >= 1
+        assert res.extras["incremental_events"] >= 1
         assert res.extras["delivered_mb"] == pytest.approx(
             trace.total_mb(), rel=1e-6)
 
@@ -77,45 +76,62 @@ class TestShardedRuntime:
         res = system.run(app="dfs")
         assert "replica2" not in system.ring.live
         # Chunks solved on both sides of the crash; everything lands.
-        assert res.extras["shard_chunks"] >= 2
+        assert res.extras["cold_solves"] + res.extras["warm_solves"] >= 2
         assert res.extras["delivered_mb"] == pytest.approx(
             trace.total_mb(), rel=1e-6)
-
-    def test_shard_cache_sizing_follows_global_budget(self):
-        trace = burst_trace(count=8, n_clients=4, rate=10.0, seed=6)
-        cfg = RuntimeConfig(
-            solver=SolverOptions(
-                algorithm="lddm", warm_cache_entries=8,
-                sharding=ShardingConfig(n_shards=4)))
-        system = EDRSystem(trace, cfg)
-        assert len(system._shard_caches) == 4
-        for cache in system._shard_caches:
-            assert cache.max_entries == 2
-        # An explicit per-shard override wins over the derived share.
-        cfg = RuntimeConfig(
-            solver=SolverOptions(
-                algorithm="lddm", warm_cache_entries=8,
-                sharding=ShardingConfig(n_shards=4, warm_cache_entries=5)))
-        system = EDRSystem(trace, cfg)
-        for cache in system._shard_caches:
-            assert cache.max_entries == 5
 
     def test_obs_taxonomy_recorded_and_valid(self):
         rec = TraceRecorder()
         trace = burst_trace(count=24, n_clients=10, rate=10.0, seed=7)
         _, res = _run(trace, recorder=rec)
         names = {r.get("name") for r in rec.records}
-        assert "runtime.shard" in names
-        assert "coordinator.solve" in names
-        assert "shard.solve" in names
+        # The plane is armed from the paper's session, not built by
+        # exchange rounds: one plane event per absorbed chunk.
+        assert "runtime.incremental" in names
+        assert "session.solve" in names
+        assert "runtime.shard" not in names
         for record in rec.records:
             validate_record(record)
 
     def test_extras_counters_present(self):
         trace = burst_trace(count=24, n_clients=10, rate=10.0, seed=8)
         _, res = _run(trace)
-        for key in ("shard_chunks", "shard_events", "shard_rounds",
-                    "shard_refreshes", "shard_fallbacks"):
+        for key in ("incremental_chunks", "incremental_events",
+                    "incremental_fallbacks", "incremental_fallback_reasons",
+                    "shard_rounds", "shard_migrations"):
             assert key in res.extras
-        # The cold build of the plane runs exchange rounds at least once.
-        assert res.extras["shard_rounds"] >= 1
+        # The cold build of the plane is one session.
+        assert res.extras["cold_solves"] + res.extras["warm_solves"] >= 1
+        assert res.extras["incremental_chunks"] >= 1
+
+    def test_drift_declines_are_counted_by_reason(self):
+        trace = burst_trace(count=24, n_clients=10, rate=10.0, seed=8)
+        cfg = RuntimeConfig(solver=SolverOptions(
+            algorithm="lddm",
+            sharding=ShardingConfig(n_shards=1, drift_limit=1e-9)))
+        res = EDRSystem(trace, cfg).run(app="dfs")
+        fallbacks = res.extras["incremental_fallbacks"]
+        assert fallbacks >= 1
+        assert res.extras["incremental_fallback_reasons"] == \
+            {"drift": fallbacks}
+        assert res.extras["delivered_mb"] == pytest.approx(
+            trace.total_mb(), rel=1e-6)
+
+
+def _traffic_run(**solver_kwargs):
+    trace = make_trace(traffic_scenario(300), seed=2013)
+    cfg = RuntimeConfig(
+        solver=SolverOptions(incremental_max_clients=64, **solver_kwargs),
+        poll_interval=0.25)
+    return EDRSystem(trace, cfg).run(app="traffic")
+
+
+def test_shard_count_does_not_change_the_answer_without_interaction():
+    # Every traffic_scenario chunk has one eligibility class, so shards
+    # never interact: the 2-shard plane answers bit for bit like the
+    # one-shard plane (its second shard stays empty).
+    one = _traffic_run(incremental=True)
+    two = _traffic_run(sharding=ShardingConfig(n_shards=2))
+    assert one.extras["incremental_chunks"] >= 1
+    assert two.total_cents == one.total_cents
+    assert two.response_times == one.response_times

@@ -82,13 +82,22 @@ def test_deleted_legacy_switches_are_type_errors():
 
 @pytest.mark.parametrize("field, value", [
     ("solver_kwargs", {}), ("adaptive_budget", True),
-    ("warm_budget_floor", 16), ("incremental_drift_limit", 2.5)])
+    ("warm_budget_floor", 16), ("incremental_drift_limit", 2.5),
+    ("max_workers", 2), ("warm_cache_entries", 0)])
 def test_never_set_solver_options_are_type_errors(field, value):
     """Options nobody set became constants; the fields are gone."""
     from repro.edr.system import SolverOptions
 
     with pytest.raises(TypeError, match=field):
         SolverOptions(**{field: value})
+
+
+def test_shard_local_warm_cache_option_is_gone():
+    """The shard-local warm caches went with the runtime's second plane."""
+    from repro.edr.coordinator import ShardingConfig
+
+    with pytest.raises(TypeError, match="warm_cache_entries"):
+        ShardingConfig(warm_cache_entries=4)
 
 
 def test_thread_shard_mode_is_rejected():
