@@ -490,70 +490,6 @@ class IncrementalState:
         self._index[token] = k
         return k
 
-    def extract_class(self, token: bytes) -> tuple[
-            np.ndarray, float, np.ndarray, dict[str, tuple[bytes, float]]]:
-        """Remove class ``token`` and hand it over for adoption elsewhere.
-
-        The shard-migration primitive: returns ``(eligibility, demand,
-        row, clients)`` — the class's mask row, demand, current
-        allocation row, and the registered clients that belonged to it —
-        and deletes the class here.  The class leaves *with* its load,
-        so an extract/:meth:`install_class` pair conserves the aggregate
-        column loads exactly and requires no re-solve.  The drift
-        baseline re-anchors to the shrunken demand total.
-        """
-        k = self._index.get(token)
-        if k is None:
-            raise ValidationError("unknown class token")
-        eligibility = self.masks[k].copy()
-        demand = float(self.D[k])
-        row = self.Q[k].copy()
-        self.masks = np.delete(self.masks, k, axis=0)
-        self.D = np.delete(self.D, k)
-        self.Q = np.delete(self.Q, k, axis=0)
-        self.tokens.pop(k)
-        self._index = {t: i for i, t in enumerate(self.tokens)}
-        self.loads = self.loads - row
-        moved = {c: reg for c, reg in self._clients.items()
-                 if reg[0] == token}
-        for c in moved:
-            del self._clients[c]
-        self._baseline_total = max(float(self.D.sum()), 1e-9)
-        return eligibility, demand, row, moved
-
-    def install_class(self, token: bytes, eligibility: np.ndarray,
-                      demand: float, row: np.ndarray,
-                      clients: dict[str, tuple[bytes, float]] | None = None
-                      ) -> int:
-        """Adopt a class :meth:`extract_class` removed elsewhere; row index.
-
-        The row arrives warm — it keeps the allocation it converged to
-        in its previous home — so installs are load-neutral; the next
-        refine or exchange round treats it like any other row.
-        """
-        if token in self._index:
-            raise ValidationError("class token already present")
-        elig = np.asarray(eligibility, dtype=bool)
-        if elig.shape != (self.n_replicas,):
-            raise ValidationError("eligibility row has wrong length")
-        if elig.tobytes() != token:
-            raise ValidationError("eligibility row does not match its token")
-        r = np.asarray(row, dtype=float)
-        if r.shape != (self.n_replicas,):
-            raise ValidationError("allocation row has wrong length")
-        r = np.where(elig, np.maximum(r, 0.0), 0.0)
-        self.masks = np.vstack([self.masks, elig[None, :]])
-        self.D = np.append(self.D, max(float(demand), 0.0))
-        self.Q = np.vstack([self.Q, r[None, :]])
-        self.tokens.append(token)
-        k = len(self.tokens) - 1
-        self._index[token] = k
-        self.loads = self.loads + r
-        for c, reg in (clients or {}).items():
-            self._clients[c] = (token, float(reg[1]))
-        self._baseline_total = max(float(self.D.sum()), 1e-9)
-        return k
-
     def _fallback(self, reason: str) -> EventResult:
         self.stale = True
         self.fallbacks += 1

@@ -51,7 +51,10 @@ def solve_reference(problem: ReplicaSelectionProblem, *,
         return P
 
     def fun(x: np.ndarray) -> float:
-        return model.total_energy(data, unpack(x))
+        # trust-constr may probe slightly outside the x >= 0 bounds;
+        # price such a point at clipped loads, as ``jac`` already does.
+        loads = np.maximum(model.replica_loads(unpack(x)), 0.0)
+        return float(model.replica_energy(data, loads).sum())
 
     def jac(x: np.ndarray) -> np.ndarray:
         return model.energy_gradient(data, unpack(x)).ravel()[idx]

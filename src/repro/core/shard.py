@@ -265,26 +265,6 @@ class SolveShard:
         st.loads = st.Q.sum(axis=0)
         self.touch()
 
-    # -- class migration (online re-partitioning) ----------------------------
-    def extract_class(self, token: bytes) -> tuple:
-        """Remove class ``token`` for migration; see ``IncrementalState``.
-
-        Returns ``(eligibility, demand, row, clients)`` — everything the
-        destination shard needs to adopt the class warm.  The row leaves
-        *with* its allocation, so an extract/install pair conserves the
-        plane's aggregate column loads exactly.
-        """
-        out = self.state.extract_class(token)
-        self.touch()
-        return out
-
-    def install_class(self, token: bytes, eligibility: np.ndarray,
-                      demand: float, row: np.ndarray,
-                      clients: dict | None = None) -> None:
-        """Adopt a class another shard extracted (warm rows included)."""
-        self.state.install_class(token, eligibility, demand, row, clients)
-        self.touch()
-
     # -- process shipping ----------------------------------------------------
     def static_payload(self) -> dict:
         """The shard's static geometry, cached until :meth:`touch`.

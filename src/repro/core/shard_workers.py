@@ -3,7 +3,7 @@
 Process-mode execution of the sharded plane.  Pool spin-up and pickling
 a shard's static cost constants, masks and capacities dwarf a round's
 actual arithmetic at class-space sizes, and the geometry only changes
-on events/migrations — so one worker pool stays alive across solves and
+on events/re-layouts — so one worker pool stays alive across solves and
 a shard's state is split into two shipments per geometry *version* (see
 :attr:`repro.core.shard.SolveShard.version`):
 

@@ -40,22 +40,20 @@ The coordinator is a *long-lived* object: its executor — the persistent
 shared-memory worker fleet of :mod:`repro.core.shard_workers` — starts
 lazily on the first concurrent round and survives across solves and
 event storms until :meth:`ShardCoordinator.close` (also a context
-manager).  It is elastic, too: when per-shard demand
-skews past ``rebalance_skew``, individual classes migrate between
-shards *with* their rows and client registrations — no plane
-teardown, no allocation change, hence no residual change — and
-:meth:`ShardCoordinator.resize` / :meth:`~ShardCoordinator.auto_tune`
-re-partition the whole class set onto a different shard count using the
-measured round-time curve.  Migration decisions read only gathered
-demand/residual statistics, never wall-clock, so they are identical
-across execution modes; auto-tune *is* wall-clock-informed and is
-therefore advisory (explicitly invoked, never inside the arithmetic
-path).
+manager).  Shards are laid out in one place: an LPT partition of the
+class demands (:func:`~repro.core.shard.partition_classes`), each class
+carried with its allocation row and client registrations.  Construction
+lays out the instance it is given; :meth:`ShardCoordinator.rebalance`
+re-lays the plane from its own rows when per-shard demand skews past
+``rebalance_skew`` and the LPT layout repairs it, and
+:meth:`ShardCoordinator.resize` re-lays it onto another shard count.  A
+re-layout moves rows, not load — no allocation change, hence no
+residual change — and its decision reads class demands only, so it is
+identical across execution modes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -74,10 +72,9 @@ from repro.core.shard_workers import ShardWorkerPool
 from repro.core.solution import Solution
 from repro.errors import InfeasibleProblemError, ValidationError
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.util.cpus import resolve_workers
 
 __all__ = ["ShardingConfig", "CoordinatorResult", "RoutedResult",
-           "ShardCoordinator", "solve_sharded", "tune_shard_count"]
+           "ShardCoordinator", "solve_sharded"]
 
 _MODES = ("serial", "process")
 
@@ -95,10 +92,10 @@ class ShardingConfig:
     behind before the coordinator schedules full exchange rounds.
 
     ``max_workers`` caps the process pool size (``None`` follows the
-    CPU affinity mask).  Elasticity knobs: once the heaviest
-    shard's demand exceeds ``rebalance_skew`` times the mean, routed
-    events migrate up to ``rebalance_max_moves`` classes toward lighter
-    shards (``rebalance_skew=None`` disables online re-partitioning).
+    CPU affinity mask).  Elasticity: once the heaviest shard's demand
+    exceeds ``rebalance_skew`` times the mean, a routed event re-lays
+    the shards by LPT if that brings the skew back within bound
+    (``rebalance_skew=None`` disables online re-partitioning).
     """
 
     n_shards: int = 4
@@ -112,7 +109,6 @@ class ShardingConfig:
     drift_limit: float = 2.5
     max_workers: int | None = None
     rebalance_skew: float | None = 2.0
-    rebalance_max_moves: int = 8
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -131,30 +127,6 @@ class ShardingConfig:
             raise ValidationError("max_workers must be >= 1")
         if self.rebalance_skew is not None and self.rebalance_skew <= 1.0:
             raise ValidationError("rebalance_skew must be > 1")
-        if self.rebalance_max_moves < 1:
-            raise ValidationError("rebalance_max_moves must be >= 1")
-
-
-def tune_shard_count(n_classes: int, row_cost_s: float,
-                     dispatch_cost_s: float, max_shards: int) -> int:
-    """The shard count minimizing the modeled round time (pure, testable).
-
-    Round-time model: ``dispatch_cost_s * n + row_cost_s * K / n`` — a
-    per-shard dispatch overhead plus the widest shard's row work (a
-    single shard pays no dispatch).  The integer argmin of this convex
-    curve, smallest count on ties, which makes the suggestion monotone:
-    nondecreasing in ``n_classes``/``row_cost_s``, nonincreasing in
-    ``dispatch_cost_s``.
-    """
-    K = max(float(n_classes), 1.0)
-    r = max(float(row_cost_s), 0.0)
-    c = max(float(dispatch_cost_s), 0.0)
-    best_n, best = 1, None
-    for n in range(1, max(int(max_shards), 1) + 1):
-        cost = c * n * (1 if n > 1 else 0) + r * K / n
-        if best is None or cost < best - 1e-15 * max(abs(best), 1.0):
-            best_n, best = n, cost
-    return best_n
 
 
 @dataclass(frozen=True)
@@ -177,8 +149,9 @@ class RoutedResult:
     absorbed-in-shard case.  ``fallback_reason`` names the shard's
     decline: recovered in place by :meth:`ShardCoordinator.apply_event`,
     returned as ``ok=False`` by :meth:`ShardCoordinator.retarget`.
-    ``migrations`` counts classes the skew check moved between shards
-    while absorbing this event — load-conserving, never a teardown.
+    ``migrations`` counts classes whose owning shard changed when the
+    skew check re-laid the plane while absorbing this event — rows move
+    with their classes, so it is load-conserving.
     """
 
     ok: bool
@@ -198,12 +171,12 @@ class ShardCoordinator:
     :mod:`repro.core.aggregate` — a :class:`~repro.core.params.
     ProblemData` or anything with its array attributes) and ``tokens``
     the classes' packed-mask byte tokens in row order.  Classes are
-    partitioned across ``config.n_shards`` shards by demand-balanced
-    greedy assignment; ``clients`` optionally pre-registers client ->
-    (token, demand) members, routed to their class's shard, and
-    ``allocation`` optionally hands over (K, N) class rows solved
-    elsewhere (row-aligned with ``tokens``) for the shards to hold
-    instead of starting empty.
+    laid out across ``config.n_shards`` shards by :meth:`_lay_out`;
+    ``clients`` optionally pre-registers client -> (token, demand)
+    members, routed to their class's shard, and ``allocation``
+    optionally hands over (K, N) class rows solved elsewhere
+    (row-aligned with ``tokens``) for the shards to hold instead of
+    starting empty.
     """
 
     def __init__(self, data, tokens: Sequence[bytes],
@@ -227,30 +200,11 @@ class ShardCoordinator:
         self.alpha = np.asarray(data.alpha, dtype=float).copy()
         self.beta = np.asarray(data.beta, dtype=float).copy()
         self.gamma = np.asarray(data.gamma, dtype=float).copy()
-        shard_of = partition_classes(data.R, cfg.n_shards)
-        self._token_shard = {t: int(shard_of[i])
-                             for i, t in enumerate(tokens)}
-        registry = clients or {}
-        for c, (t, _) in registry.items():
-            if t not in self._token_shard:
-                raise ValidationError(
-                    f"client {c!r} registered to an unknown class")
         self.shards: list[SolveShard] = []
-        demands = np.asarray(data.R, dtype=float)
-        for s in range(cfg.n_shards):
-            idx = np.flatnonzero(shard_of == s)
-            stokens = [tokens[int(i)] for i in idx]
-            own = set(stokens)
-            self.shards.append(SolveShard(
-                s, tokens=stokens, demands=demands[idx],
-                capacities=self.B, prices=self.u, alpha=self.alpha,
-                beta=self.beta, gamma=self.gamma, mask=mask[idx],
-                allocation=None if allocation is None else allocation[idx],
-                clients={c: r for c, r in registry.items() if r[0] in own},
-                kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
-                drift_limit=cfg.drift_limit))
-        self.loads = np.zeros(self.B.shape[0])
-        self.refresh_loads()
+        self._token_shard: dict[bytes, int] = {}
+        self._lay_out(cfg.n_shards, tokens, mask,
+                      np.asarray(data.R, dtype=float), allocation,
+                      clients or {})
         self.rounds_total = 0
         self.refreshes = 0
         self.fallbacks = 0
@@ -258,17 +212,64 @@ class ShardCoordinator:
         self.migrations = 0
         self.resizes = 0
         self._pool: ShardWorkerPool | None = None
-        # (n_shards, max_rows, wall_s) per exchange round — feeds the
-        # advisory shard-count tuner, never the arithmetic path.
-        self._round_stats: deque = deque(maxlen=256)
         self._emitted_static = 0
         self._emitted_round = 0
         self._closed = False
 
+    def _lay_out(self, n_shards: int, tokens: list[bytes], masks: np.ndarray,
+                 demands: np.ndarray, rows: np.ndarray | None,
+                 clients: dict[str, tuple[bytes, float]]) -> int:
+        """Lay the classes out on ``n_shards`` shards; classes moved.
+
+        The one shard-layout primitive: an LPT partition of ``demands``
+        (:func:`~repro.core.shard.partition_classes`), one
+        :class:`SolveShard` per part holding its classes' masks,
+        demands, ``rows`` (``None`` = start empty) and client
+        registrations, and the token -> shard routing table.  Rows pass
+        through unchanged, so re-laying the plane's own snapshot
+        conserves loads, residual and every registration.  A layout
+        equal to the current one (same shard count, no class moves) is
+        a no-op.  Returns how many held classes changed shard.
+        """
+        shard_of = partition_classes(demands, n_shards)
+        token_shard = {t: int(shard_of[i]) for i, t in enumerate(tokens)}
+        moved = sum(1 for t, s in token_shard.items()
+                    if self._token_shard.get(t, s) != s)
+        if n_shards == len(self.shards) and not moved:
+            return 0
+        for c, (t, _) in clients.items():
+            if t not in token_shard:
+                raise ValidationError(
+                    f"client {c!r} registered to an unknown class")
+        cfg = self.config
+        shards = []
+        for s in range(n_shards):
+            idx = np.flatnonzero(shard_of == s)
+            stokens = [tokens[int(i)] for i in idx]
+            own = set(stokens)
+            shards.append(SolveShard(
+                s, tokens=stokens, demands=demands[idx],
+                capacities=self.B, prices=self.u, alpha=self.alpha,
+                beta=self.beta, gamma=self.gamma, mask=masks[idx],
+                allocation=None if rows is None else rows[idx],
+                clients={c: r for c, r in clients.items() if r[0] in own},
+                kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
+                drift_limit=cfg.drift_limit))
+        self.shards = shards
+        self._token_shard = token_shard
+        self.refresh_loads()
+        return moved
+
+    def _relay(self, n_shards: int) -> int:
+        """Re-lay the plane's own classes, rows and clients; classes moved."""
+        tokens, masks, demands, rows = self.class_snapshot()
+        return self._lay_out(n_shards, tokens, masks, demands, rows,
+                             {c: (t, d) for c, t, d in self.clients()})
+
     # -- views ---------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        """Shard count (fixed at construction)."""
+        """Current shard count (only :meth:`resize` changes it)."""
         return len(self.shards)
 
     @property
@@ -429,8 +430,6 @@ class ShardCoordinator:
             r0 = perf_counter()
             results = self._run_round(pool, damping)
             round_wall = perf_counter() - r0
-            self._round_stats.append(
-                (len(self.shards), self.max_shard_rows, round_wall))
             rounds += 1
             self.rounds_total += 1
             sweeps += sum(r.sweeps for r in results)
@@ -501,8 +500,7 @@ class ShardCoordinator:
         for i, t in enumerate(tokens):
             s = self._token_shard.get(t)
             if s is None:
-                s = min(range(len(self.shards)),
-                        key=lambda j: (totals[j], j))
+                s = self._lightest(totals)
                 self._token_shard[t] = s
             totals[s] += float(demands[i])
             per[s][0].append(t)
@@ -515,6 +513,11 @@ class ShardCoordinator:
                             len(tk), self.n_replicas),
                         np.asarray(dm, dtype=float)))
         return out
+
+    @staticmethod
+    def _lightest(totals: Sequence[float]) -> int:
+        """Home of a new class: the lightest shard, ties to the lowest id."""
+        return min(range(len(totals)), key=lambda j: (totals[j], j))
 
     @staticmethod
     def _touch_after(sh: SolveShard, n_before: int) -> None:
@@ -570,9 +573,9 @@ class ShardCoordinator:
     def _maybe_refresh(self, events: int, sweeps: int) -> RoutedResult:
         """Schedule exchange rounds only when the residual drifted.
 
-        The skew check runs first: a migration moves a class *with* its
-        allocation, so it changes neither the loads nor the residual —
-        re-partitioning rides along with routed events for free.
+        The skew check runs first: a re-layout moves classes *with*
+        their allocation rows, so it changes neither the loads nor the
+        residual — re-partitioning rides along with routed events.
         """
         migrated = self.rebalance()
         resid = self.residual()
@@ -600,30 +603,33 @@ class ShardCoordinator:
         Arrivals go to their class's shard (new classes to the lightest
         shard); departures and demand changes follow the client's
         registration.  The shard absorbs the event incrementally against
-        the other shards' loads.  A decline has already recorded the
-        event (the state's one decline contract), so recovery is the
-        same whatever the reason: clear stale at the state's own ``D``
-        and re-fill with exchange rounds — the plane never goes stale.
+        the other shards' loads.  An invalid event raises with the plane
+        unchanged: a new class is routed only once its shard has
+        recorded the event.  A decline has already recorded the event
+        (the state's one decline contract), so recovery is the same
+        whatever the reason: clear stale at the state's own ``D`` and
+        re-fill with exchange rounds — the plane never goes stale.
         """
+        reg = self.registered(event.client)
         if isinstance(event, ClientArrival):
+            if reg is not None:
+                raise ValidationError(
+                    f"client {event.client!r} already registered")
             token = np.asarray(event.eligibility, dtype=bool).tobytes()
-            s = self._token_shard.get(token)
-            if s is None:
-                totals = [sh.demand() for sh in self.shards]
-                s = min(range(len(self.shards)),
-                        key=lambda j: (totals[j], j))
-                self._token_shard[token] = s
+        elif reg is None:
+            raise ValidationError(f"unknown client {event.client!r}")
         else:
-            reg = self.registered(event.client)
-            if reg is None:
-                raise ValidationError(f"unknown client {event.client!r}")
-            s = self._token_shard[reg[0]]
+            token = reg[0]
+        s = self._token_shard.get(token)
+        if s is None:
+            s = self._lightest([sh.demand() for sh in self.shards])
         self.refresh_loads()
         sh = self.shards[s]
         st = sh.state
         st.set_background(self.background(s))
         k0 = st.n_classes
         r = st.apply_event(event)
+        self._token_shard[token] = s
         self._touch_after(sh, k0)
         if r.ok:
             if self.recorder.enabled:
@@ -663,7 +669,7 @@ class ShardCoordinator:
                     "after the replica failure")
         self.refresh_loads()
 
-    # -- elasticity: migration, re-partitioning, sizing ------------------------
+    # -- elasticity: skew repair and shard count -------------------------------
     def demand_skew(self) -> float:
         """Heaviest shard's demand over the mean shard demand (>= 1)."""
         if len(self.shards) < 2:
@@ -674,105 +680,41 @@ class ShardCoordinator:
             return 1.0
         return max(demands) * len(demands) / total
 
-    def migrate_class(self, token: bytes, dest: int) -> None:
-        """Move one class row to shard ``dest`` — its row, clients, all.
+    def rebalance(self) -> int:
+        """Skew repair: re-lay the plane by LPT; returns classes moved.
 
-        The row leaves *with* its allocation, so the aggregate loads —
-        and therefore the residual — are unchanged: a migration never
-        needs a re-solve and is safe mid-stream.  Both shards bump
-        their geometry version, so the worker fleet re-ships exactly
-        those two on the next round.
-        """
-        src = self._token_shard.get(token)
-        if src is None:
-            raise ValidationError("unknown class token")
-        dest = int(dest)
-        if not 0 <= dest < len(self.shards):
-            raise ValidationError("destination shard out of range")
-        if dest == src:
-            return
-        elig, demand, row, moved = self.shards[src].extract_class(token)
-        self.shards[dest].install_class(token, elig, demand, row, moved)
-        self._token_shard[token] = dest
-        self.migrations += 1
-        if self.recorder.enabled:
-            self.recorder.count("coordinator.migration")
-
-    def rebalance(self, max_moves: int | None = None) -> int:
-        """Deterministic greedy skew repair; returns classes migrated.
-
-        While the heaviest shard's demand exceeds ``rebalance_skew``
-        times the mean, its largest class that fits within half the
-        heavy/light gap moves to the lightest shard (ties broken by
-        token so every execution mode picks the same class).  Decisions
-        read only class demands — no wall-clock — and every move
-        conserves the allocation, so the plane needs neither teardown
-        nor refresh on account of a migration.
+        Runs only while the heaviest shard's demand exceeds
+        ``rebalance_skew`` times the mean, and re-lays only if the LPT
+        layout of the current class demands brings the skew back within
+        that bound — unrepairable skew (one class outweighing a fair
+        share) leaves the plane as it is instead of rebuilding it on
+        every event.  The decision reads class demands only, and the
+        re-layout moves rows with their classes, so it is identical
+        across execution modes and needs no refresh of its own.
         """
         cfg = self.config
-        if cfg.rebalance_skew is None or len(self.shards) < 2:
+        n = len(self.shards)
+        if cfg.rebalance_skew is None or n < 2:
             return 0
-        budget = cfg.rebalance_max_moves if max_moves is None \
-            else int(max_moves)
         skew_before = self.demand_skew()
-        moves = 0
-        while moves < budget and self.demand_skew() > cfg.rebalance_skew:
-            demands = [sh.demand() for sh in self.shards]
-            heavy = max(range(len(demands)),
-                        key=lambda s: (demands[s], -s))
-            light = min(range(len(demands)),
-                        key=lambda s: (demands[s], s))
-            gap = demands[heavy] - demands[light]
-            st = self.shards[heavy].state
-            best = None
-            for k, t in enumerate(st.tokens):
-                d = float(st.D[k])
-                if 0.0 < d <= 0.5 * gap + 1e-12 \
-                        and (best is None or (d, t) > best):
-                    best = (d, t)
-            if best is None:
-                break
-            self.migrate_class(best[1], light)
-            moves += 1
-        if moves and self.recorder.enabled:
+        if skew_before <= cfg.rebalance_skew:
+            return 0
+        demands = np.concatenate([sh.state.D for sh in self.shards])
+        totals = np.bincount(partition_classes(demands, n),
+                             weights=demands, minlength=n)
+        if totals.max() * n > cfg.rebalance_skew * totals.sum():
+            return 0
+        moved = self._relay(n)
+        self.migrations += moved
+        if moved and self.recorder.enabled:
+            self.recorder.count("coordinator.migration", moved)
             self.recorder.event(
-                "coordinator.repartition", moves=moves,
-                n_shards=self.n_shards, skew_before=skew_before,
-                skew_after=self.demand_skew())
-        return moves
-
-    def suggest_n_shards(self, max_shards: int | None = None) -> int:
-        """Fit the measured round-time curve; suggest a shard count.
-
-        A least-squares fit of ``wall ~ a + b * max_rows`` over the
-        recent round samples yields a per-row cost ``b`` and a fixed
-        overhead ``a`` whose per-shard share approximates the dispatch
-        cost; both feed :func:`tune_shard_count`.  Wall-clock informed,
-        hence advisory only: callers decide when to act on it, and
-        nothing in the arithmetic path ever consults it.
-        """
-        current = len(self.shards)
-        hi = max_shards if max_shards is not None else max(
-            resolve_workers(max(self.n_classes, 1),
-                            self.config.max_workers), current)
-        hi = max(1, min(int(hi), max(self.n_classes, 1)))
-        stats = list(self._round_stats)
-        if len(stats) < 4:
-            return current
-        rows = np.array([s[1] for s in stats], dtype=float)
-        walls = np.array([s[2] for s in stats], dtype=float)
-        if float(rows.std()) <= 0.0:
-            return current
-        A = np.stack([np.ones_like(rows), rows], axis=1)
-        (a, b), *_ = np.linalg.lstsq(A, walls, rcond=None)
-        if b <= 0.0:
-            return current
-        mean_shards = float(np.mean([s[0] for s in stats]))
-        dispatch = max(float(a), 0.0) / max(mean_shards, 1.0)
-        return tune_shard_count(self.n_classes, float(b), dispatch, hi)
+                "coordinator.repartition", moves=moved, n_shards=n,
+                skew_before=skew_before, skew_after=self.demand_skew())
+        return moved
 
     def resize(self, n_shards: int) -> None:
-        """Re-partition every class onto ``n_shards`` shards, warm.
+        """Re-lay every class onto ``n_shards`` shards, warm.
 
         Classes move with their allocation rows and client registries,
         so the aggregate loads — and the residual — survive the resize.
@@ -785,40 +727,12 @@ class ShardCoordinator:
         if n == len(self.shards):
             return
         old_n = len(self.shards)
-        entries = []
-        for sh in self.shards:
-            for t in list(sh.state.tokens):
-                entries.append((t,) + sh.extract_class(t))
-        demands = np.array([e[2] for e in entries], dtype=float)
-        shard_of = partition_classes(demands, n)
-        cfg = self.config
-        self.shards = []
-        for s in range(n):
-            self.shards.append(SolveShard(
-                s, tokens=[], demands=np.zeros(0),
-                capacities=self.B, prices=self.u, alpha=self.alpha,
-                beta=self.beta, gamma=self.gamma,
-                mask=np.zeros((0, self.n_replicas), dtype=bool),
-                kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
-                drift_limit=cfg.drift_limit))
-        self._token_shard = {}
-        for i, (t, elig, demand, row, moved) in enumerate(entries):
-            s = int(shard_of[i])
-            self.shards[s].install_class(t, elig, demand, row, moved)
-            self._token_shard[t] = s
-        self.refresh_loads()
+        self._relay(n)
         self.resizes += 1
         if self.recorder.enabled:
             self.recorder.event(
                 "coordinator.resize", from_shards=old_n, to_shards=n,
-                n_classes=len(entries))
-
-    def auto_tune(self, max_shards: int | None = None) -> int:
-        """Resize to the suggested shard count if it differs; return it."""
-        n = self.suggest_n_shards(max_shards)
-        if n != len(self.shards):
-            self.resize(n)
-        return n
+                n_classes=self.n_classes)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -733,9 +733,9 @@ class SkewResult:
 
     :func:`run_elastic_skew` concentrates arrivals onto one class until
     the owning shard's demand skews past the rebalance threshold; the
-    coordinator must migrate classes off that shard *while* the stream
-    runs — no plane teardown (``resizes`` stays 0), no allocation jump
-    (migration conserves loads), and a second execution mode must still
+    coordinator must re-lay its shards *while* the stream runs — no
+    shard-count change (``resizes`` stays 0), no allocation jump (classes
+    move with their rows), and a second execution mode must still
     reproduce the serial allocation bit-for-bit afterwards.
     """
 
@@ -774,14 +774,14 @@ def run_elastic_skew(n_clients: int = 20_000, n_events: int = 60,
                      n_replicas: int = 6, n_patterns: int = 12,
                      rebalance_skew: float = 1.5,
                      check_mode: str = "process") -> SkewResult:
-    """Drive a hot-spot arrival stream until online migration fires.
+    """Drive a hot-spot arrival stream until a skew re-layout fires.
 
     Every arrival lands on the single heaviest class (the all-eligible
     pattern), each carrying a fixed fraction of the instance's total
     demand, so one shard's share grows steadily while the others stand
     still — the skewed-demand scenario the elasticity exists for.  The
     identical stream runs through a serial and a ``check_mode``
-    coordinator; both must migrate the same classes at the same events
+    coordinator; both must re-lay the same classes at the same events
     and end bit-identical.
     """
     from repro.core.incremental import ClientArrival
@@ -800,8 +800,8 @@ def run_elastic_skew(n_clients: int = 20_000, n_events: int = 60,
                for i in range(data.n_clients)}
     # Hot class: the largest class on the *crowded* shard (most rows),
     # so the growing skew is repairable — the shard's sibling classes
-    # can migrate off while the hot class itself stays put.  Uses the
-    # same deterministic partition the coordinator builds.
+    # can be laid out elsewhere around the hot class.  Uses the same
+    # deterministic partition the coordinator builds.
     from repro.core.shard import partition_classes
     shard_of = partition_classes(structure.demands, int(n_shards))
     crowded = int(np.argmax(np.bincount(shard_of, minlength=int(n_shards))))

@@ -29,8 +29,8 @@ Counters (aggregated in-recorder, exported once):
                             chunk retargets report ``ok=False``
 ``coordinator.refresh``     residual-triggered full exchange-round
                             refreshes of the sharded plane
-``coordinator.migration``   classes migrated between shards by the
-                            online re-partitioner (no plane teardown)
+``coordinator.migration``   classes whose owning shard changed in a
+                            skew-repair re-layout (rows move with them)
 ``shard.bytes_static``      bytes of shard geometry shipped to the
                             persistent worker fleet via shared memory
 ``shard.bytes_round``       per-round delta bytes crossing the process
@@ -100,16 +100,16 @@ EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
     # One per shard best-response inside a dual-price exchange round
     # (demand_share feeds the elasticity skew diagnostics).
     "shard.solve": ("shard", "rows", "sweeps", "converged", "demand_share"),
-    # One per dual-price exchange round (global residual after gather;
-    # wall_s feeds the advisory shard-count tuner).
+    # One per dual-price exchange round (global residual after gather).
     "coordinator.round": ("round", "residual", "n_shards", "wall_s"),
     # One per ShardCoordinator.solve() call.
     "coordinator.solve": ("rounds", "residual", "converged", "n_shards",
                           "n_classes"),
-    # One per rebalance() that migrated classes (online re-partition).
+    # One per skew-repair re-layout (rebalance()): classes moved and the
+    # demand skew before/after.
     "coordinator.repartition": ("moves", "n_shards", "skew_before",
                                 "skew_after"),
-    # One per explicit shard-count resize (auto_tune or direct).
+    # One per shard-count resize (a re-layout onto another count).
     "coordinator.resize": ("from_shards", "to_shards", "n_classes"),
     # One per coalesced ASSIGN batch a client turned into downloads.
     "runtime.traffic": ("sim_time", "client", "n_requests", "n_parts",

@@ -10,7 +10,7 @@ convergence would break that promise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.aggregate import ClassStructure
 from repro.core.incremental import (
@@ -107,6 +107,9 @@ class TestSingleEvents:
 class TestEventStreams:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n_events=st.integers(1, 12))
+    # trust-constr probed a point with a load of -3.9e-6 here and the
+    # reference solve raised instead of pricing it.
+    @example(seed=7354, n_events=6)
     def test_random_streams_stay_optimal(self, seed, n_events):
         prob = random_instance(seed, n_clients=5, n_replicas=4, masked=True)
         state = _state_from(prob)

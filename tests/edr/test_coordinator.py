@@ -291,6 +291,37 @@ class TestEventRouting:
         assert r.ok
         assert coord._token_shard[token] == lightest
 
+    @pytest.mark.parametrize("event", [
+        ClientArrival("b", 5.0, np.array([1, 0, 1, 0], dtype=bool)),
+        ClientArrival("a", 5.0, np.array([1, 0, 1, 0], dtype=bool)),
+        ClientArrival("z", 5.0, np.array([1, 0, 1], dtype=bool)),
+        ClientArrival("z", -1.0, np.array([1, 0, 1, 0], dtype=bool)),
+    ], ids=["duplicate-other-shard", "duplicate-same-shard",
+            "wrong-length", "negative-demand"])
+    def test_rejected_arrival_leaves_the_plane_unchanged(self, event):
+        # Two classes on two shards; each arrival names a class the
+        # plane has never seen and is invalid.  It must raise before
+        # the routing table or any shard records it.
+        mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
+        data = ProblemData.paper_defaults([40.0, 60.0],
+                                          [1.0, 8.0, 1.0, 6.0], mask=mask)
+        tokens = [m.tobytes() for m in mask]
+        coord = ShardCoordinator(
+            data, tokens, ShardingConfig(n_shards=2),
+            clients={"a": (tokens[0], 40.0), "b": (tokens[1], 60.0)})
+        coord.solve()
+        routes = dict(coord._token_shard)
+        snap = coord.class_snapshot()
+        with pytest.raises(ValidationError):
+            coord.apply_event(event)
+        assert coord._token_shard == routes
+        after = coord.class_snapshot()
+        assert after[0] == snap[0]
+        for a, b in zip(after[1:], snap[1:]):
+            assert np.array_equal(a, b)
+        assert sorted(coord.clients()) == [("a", tokens[0], 40.0),
+                                           ("b", tokens[1], 60.0)]
+
     def test_fallback_recovery_in_place(self):
         # A hair-trigger drift limit makes the owning shard decline the
         # event; the coordinator force-targets and re-runs exchange

@@ -1,12 +1,12 @@
 """Worker-fleet lifecycle and online re-partitioning edge cases.
 
-The elasticity contract: a migration moves a class *with* its
-allocation, so loads and residual are untouched no matter how extreme
-the class (even one holding essentially all demand); migrations are
-safe mid-churn and deterministic across execution modes; the advisory
-shard-count tuner is monotone in the work it models; and the
-coordinator's executor lifecycle survives close/reuse without leaking
-or changing results.
+The elasticity contract: a skew-repair re-layout moves classes *with*
+their allocation rows and client registrations, so loads, residual and
+every registration survive it no matter how extreme the skew; it fires
+only when the LPT layout of the current demands repairs the skew (an
+unrepairable skew leaves the plane alone); it is safe mid-churn and
+deterministic across execution modes; and the coordinator's executor
+lifecycle survives close/reuse without leaking or changing results.
 """
 
 import numpy as np
@@ -14,22 +14,24 @@ import pytest
 
 from repro.core.aggregate import aggregate_problem
 from repro.core.incremental import ClientArrival, DemandChange
-from repro.edr.coordinator import (
-    ShardCoordinator,
-    ShardingConfig,
-    tune_shard_count,
-)
+from repro.edr.coordinator import ShardCoordinator, ShardingConfig
 from repro.errors import ValidationError
 from repro.experiments import fig9
+from repro.obs.events import validate_record
+from repro.obs.recorder import TraceRecorder
 from repro.util.cpus import available_cpus, resolve_workers
 
 
 def _make_coord(n_clients=400, n_shards=3, seed=2013, **cfg_kwargs):
     problem = fig9.scaling_problem(n_clients, seed=seed)
     agg = aggregate_problem(problem)
+    tokens = list(agg.structure.keys)
+    clients = {f"c{i}": (tokens[agg.structure.class_of_client[i]],
+                         float(problem.data.R[i]))
+               for i in range(problem.data.n_clients)}
     coord = ShardCoordinator(
-        agg.problem.data, list(agg.structure.keys),
-        ShardingConfig(n_shards=n_shards, **cfg_kwargs))
+        agg.problem.data, tokens,
+        ShardingConfig(n_shards=n_shards, **cfg_kwargs), clients=clients)
     return agg, coord
 
 
@@ -49,117 +51,122 @@ def install_target(coord, tokens, masks, demands):
         sh.touch_demands()
 
 
+def skew_shard(coord, agg, shard, factor):
+    """Shrink every class ``shard`` does not own ``factor``-fold; re-solve.
+
+    Leaves a converged plane whose demand sits on one shard — the
+    skew a re-layout exists to repair when no single class dominates.
+    """
+    tokens = list(agg.structure.keys)
+    own = np.array([coord._token_shard[t] == shard for t in tokens])
+    install_target(coord, tokens, agg.structure.masks,
+                   np.where(own, 1.0, 1.0 / factor)
+                   * agg.structure.demands)
+    assert coord.solve().converged
+    return tokens
+
+
 class TestMigration:
-    def test_all_demand_class_migrates_cleanly(self):
-        # One class holds ~all the demand; moving it must not change
-        # the aggregate loads, the residual, or any allocation row.
-        agg, coord = _make_coord(rebalance_skew=None)
-        coord.solve()
-        tokens = list(agg.structure.keys)
-        st_demands = [float(coord.shards[coord._token_shard[t]].state.D[
-            coord.shards[coord._token_shard[t]].state.tokens.index(t)])
-            for t in tokens]
-        fat = tokens[int(np.argmax(st_demands))]
-        src = coord._token_shard[fat]
-        dest = (src + 1) % coord.n_shards
+    def test_migration_conserves_under_extreme_skew(self):
+        # Every class off the two-class shard shrinks 20x: skew near
+        # the 3-shard maximum.  The LPT re-layout moves classes (rows,
+        # clients and all) without touching any allocation row, the
+        # residual or a registration, and the plane still converges.
+        agg, coord = _make_coord()
+        crowded = int(np.argmax([sh.n_rows for sh in coord.shards]))
+        tokens = skew_shard(coord, agg, crowded, 20.0)
+        assert coord.demand_skew() > 2.5
         rows0 = coord.rows_for(tokens)
         resid0 = coord.residual()
-        coord.migrate_class(fat, dest)
-        assert coord._token_shard[fat] == dest
-        assert coord.migrations == 1
+        regs0 = sorted(coord.clients())
+        coord.recorder = TraceRecorder()
+        moved = coord.rebalance()
+        assert moved >= 1 and coord.migrations == moved
+        assert coord.demand_skew() <= coord.config.rebalance_skew
+        (event,) = [r for r in coord.recorder.records
+                    if r["name"] == "coordinator.repartition"]
+        validate_record(event)
+        assert event["moves"] == moved
+        assert event["skew_before"] > 2.5 >= event["skew_after"]
+        assert coord.recorder.counters[("coordinator.migration", ())] \
+            == moved
         assert np.array_equal(coord.rows_for(tokens), rows0)
         assert coord.residual() == pytest.approx(resid0, abs=1e-15)
-        # The emptied/loaded shards still converge together afterwards.
-        res = coord.solve()
-        assert res.converged
-        coord.close()
-
-    def test_migration_conserves_under_extreme_skew(self):
-        # A shard left with zero demand after the move is legal: the
-        # residual never spikes and exchange rounds still run.
-        agg, coord = _make_coord(n_shards=2, rebalance_skew=None)
-        coord.solve()
-        tokens = list(agg.structure.keys)
-        shard0 = [t for t in tokens if coord._token_shard[t] == 0]
-        rows0 = coord.rows_for(tokens)
-        for t in shard0:
-            coord.migrate_class(t, 1)
-        assert coord.shards[0].state.n_classes == 0
-        assert np.array_equal(coord.rows_for(tokens), rows0)
+        assert sorted(coord.clients()) == regs0
+        assert all(coord.registered(c) == (t, d) for c, t, d in regs0)
         assert coord.solve().converged
         coord.close()
 
     def test_mid_churn_migration_bit_identity(self):
-        # Identical event stream + identical mid-stream migration in
-        # serial and process mode: the final allocation must match
-        # bit-for-bit (migration decisions use no wall-clock).
+        # Identical skewed stream in serial and process mode: the hot
+        # class's arrivals trigger a mid-stream re-layout, more events
+        # follow, and the final allocation matches bit-for-bit (the
+        # re-layout decision reads class demands, never wall-clock).
         def stream(mode):
-            agg, coord = _make_coord(mode=mode, rebalance_skew=None)
+            agg, coord = _make_coord(mode=mode, max_workers=2,
+                                     rebalance_skew=1.5)
             coord.solve()
             tokens = list(agg.structure.keys)
-            elig = np.asarray(agg.structure.masks[0], dtype=bool)
+            crowded = int(np.argmax([sh.n_rows for sh in coord.shards]))
+            hot = coord.shards[crowded].state.masks[0].copy()
             with coord:
                 for i in range(4):
-                    coord.apply_event(ClientArrival(f"n{i}", 3.0 + i,
-                                                    elig.copy()))
-                coord.migrate_class(tokens[0],
-                                    (coord._token_shard[tokens[0]] + 1)
-                                    % coord.n_shards)
+                    coord.apply_event(ClientArrival(f"n{i}", 100.0 + i,
+                                                    hot.copy()))
+                migrations = coord.migrations
                 for i in range(4):
-                    coord.apply_event(DemandChange(f"n{i}", 4.0 + i))
-                rows = coord.rows_for(tokens)
-                return rows, coord.migrations
+                    coord.apply_event(DemandChange(f"n{i}", 40.0 + i))
+                return coord.rows_for(tokens), migrations
 
         rows_s, mig_s = stream("serial")
         rows_p, mig_p = stream("process")
-        assert mig_s == mig_p == 1
+        assert mig_s == mig_p >= 1
         assert np.array_equal(rows_s, rows_p)
 
     def test_mode_bit_identity_after_rebalance(self):
-        # Auto-rebalance (not a manual migrate) fires during a skewed
-        # stream; both modes must migrate the same classes and land on
-        # identical bits.
+        # Auto-rebalance fires during a skewed stream; both modes must
+        # re-lay the same classes and land on identical bits.
         result = fig9.run_elastic_skew(n_clients=4_000, n_events=30)
         assert result.migrations >= 1
         assert result.resizes == 0
+        assert result.skew_after <= 1.5
         assert result.modes_identical
 
-    def test_migrate_validation(self):
+    def test_unrepairable_skew_does_not_relayout(self):
+        # One class holds more than rebalance_skew / n_shards of the
+        # demand: no layout repairs that, so neither rebalance() nor a
+        # stream of routed events rebuilds a shard.
         agg, coord = _make_coord()
-        with pytest.raises(ValidationError):
-            coord.migrate_class(b"no-such-token", 0)
-        token = list(agg.structure.keys)[0]
-        with pytest.raises(ValidationError):
-            coord.migrate_class(token, 99)
+        skew_shard(coord, agg, 0, 10.0)
+        demands = coord.class_snapshot()[2]
+        assert demands.max() > coord.config.rebalance_skew \
+            / coord.n_shards * demands.sum()
+        assert coord.demand_skew() > coord.config.rebalance_skew
+        routes = dict(coord._token_shard)
+        versions = [sh.version for sh in coord.shards]
+        assert coord.rebalance() == 0
+        for i in range(3):
+            r = coord.apply_event(DemandChange(f"c{i}", 5.0 + i))
+            assert r.ok and r.migrations == 0
+        assert coord.migrations == 0
+        assert coord._token_shard == routes
+        assert [sh.version for sh in coord.shards] == versions
         coord.close()
 
-
-class TestTuner:
-    def test_suggestion_monotone_in_class_count(self):
-        # More rows to spread -> never fewer shards suggested.
-        suggestions = [tune_shard_count(k, row_cost_s=1e-3,
-                                        dispatch_cost_s=5e-3,
-                                        max_shards=8)
-                       for k in (1, 4, 16, 64, 256, 1024)]
-        assert suggestions == sorted(suggestions)
-        assert suggestions[0] == 1
-
-    def test_suggestion_monotone_in_dispatch_cost(self):
-        # Costlier dispatch -> never more shards suggested.
-        suggestions = [tune_shard_count(64, row_cost_s=1e-3,
-                                        dispatch_cost_s=c, max_shards=8)
-                       for c in (0.0, 1e-4, 1e-3, 1e-2, 1e-1)]
-        assert suggestions == sorted(suggestions, reverse=True)
-        assert suggestions[0] == 8      # free dispatch: spread fully
-        assert suggestions[-1] == 1     # dominant dispatch: stay serial
-
-    def test_auto_tune_advisory_only_without_samples(self):
-        # With no round-time samples the tuner must keep the current
-        # shard count rather than guess.
+    def test_resize_relays_warm(self):
         agg, coord = _make_coord()
-        assert coord.suggest_n_shards() == coord.n_shards
-        assert coord.auto_tune() == coord.n_shards
-        assert coord.resizes == 0
+        coord.solve()
+        tokens = list(agg.structure.keys)
+        rows0 = coord.rows_for(tokens)
+        regs0 = sorted(coord.clients())
+        coord.resize(2)
+        assert coord.n_shards == 2 and coord.resizes == 1
+        assert coord.migrations == 0
+        assert np.array_equal(coord.rows_for(tokens), rows0)
+        assert sorted(coord.clients()) == regs0
+        assert coord.residual() <= coord.config.tol * (1 + 1e-9)
+        with pytest.raises(ValidationError):
+            coord.resize(0)
         coord.close()
 
 
@@ -240,8 +247,6 @@ class TestWorkerSizing:
             ShardingConfig(max_workers=0)
         with pytest.raises(ValidationError):
             ShardingConfig(rebalance_skew=1.0)
-        with pytest.raises(ValidationError):
-            ShardingConfig(rebalance_max_moves=0)
 
     def test_pool_respects_max_workers(self):
         agg, coord = _make_coord(n_shards=3, mode="process",
@@ -266,17 +271,19 @@ class TestPayloadCaching:
         coord.close()
 
     def test_retarget_keeps_version_migration_bumps_it(self):
-        agg, coord = _make_coord(rebalance_skew=None)
+        # A demand-only retarget keeps every geometry version; a
+        # skew-repair re-layout rebuilds the shards, so the fleet
+        # re-ships every one of them.
+        agg, coord = _make_coord()
         coord.solve()
         tokens = list(agg.structure.keys)
         versions0 = [sh.version for sh in coord.shards]
         install_target(coord, tokens, agg.structure.masks,
                         agg.structure.demands * 1.1)
         assert [sh.version for sh in coord.shards] == versions0
-        token = tokens[0]
-        src = coord._token_shard[token]
-        dest = (src + 1) % coord.n_shards
-        coord.migrate_class(token, dest)
-        assert coord.shards[src].version != versions0[src]
-        assert coord.shards[dest].version != versions0[dest]
+        crowded = int(np.argmax([sh.n_rows for sh in coord.shards]))
+        skew_shard(coord, agg, crowded, 20.0)
+        assert [sh.version for sh in coord.shards] == versions0
+        assert coord.rebalance() >= 1
+        assert not {sh.version for sh in coord.shards} & set(versions0)
         coord.close()

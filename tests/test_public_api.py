@@ -100,6 +100,24 @@ def test_shard_local_warm_cache_option_is_gone():
         ShardingConfig(warm_cache_entries=4)
 
 
+def test_class_migration_and_shard_tuner_are_gone():
+    """One shard layout: LPT re-layout replaced migration and the tuner."""
+    from repro.core.incremental import IncrementalState
+    from repro.core.shard import SolveShard
+    from repro.edr import coordinator
+    from repro.edr.coordinator import ShardCoordinator, ShardingConfig
+
+    with pytest.raises(TypeError, match="rebalance_max_moves"):
+        ShardingConfig(rebalance_max_moves=8)
+    assert not hasattr(coordinator, "tune_shard_count")
+    assert "tune_shard_count" not in coordinator.__all__
+    for name in ("migrate_class", "auto_tune", "suggest_n_shards"):
+        assert not hasattr(ShardCoordinator, name)
+    for cls in (SolveShard, IncrementalState):
+        for name in ("extract_class", "install_class"):
+            assert not hasattr(cls, name)
+
+
 def test_thread_shard_mode_is_rejected():
     from repro.edr.coordinator import ShardingConfig
     from repro.errors import ValidationError
