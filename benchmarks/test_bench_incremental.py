@@ -7,7 +7,16 @@ the warm full re-solve it replaces, and a longer churn soak must stay
 fallback-free with bounded p99 event latency.
 """
 
-from repro.experiments import fig9
+import time
+
+import numpy as np
+
+from repro.core.aggregate import aggregate_problem
+from repro.core.incremental import IncrementalState
+from repro.core.lddm import solve_lddm
+from repro.core.problem import ReplicaSelectionProblem
+from repro.experiments.scenarios import FIG9_PATTERNS, churn_events, \
+    scaling_problem
 
 #: The acceptance gate: mean Gauss–Seidel sweeps one event may cost.  A
 #: count, so it repeats exactly under one seed; the wall-clock speedup
@@ -18,23 +27,67 @@ MAX_SWEEPS_PER_EVENT = 2.0
 #: Relative objective gap the incremental answer must stay within.
 MAX_REL_GAP = 1e-6
 
+#: The runtime's LDDM batch budget (``EDRSystem``'s sessions).
+RUNTIME_LDDM = {"max_iter": 150, "tol": 1e-3, "track_objective": False}
+
+
+def churn(n_events, *, compare_every=1, event_seed=7, n_clients=10_000):
+    """Apply a churn stream to a converged state, timing every event;
+    every ``compare_every``-th event also times the warm full re-solve
+    (from the state's rows and multipliers) and records the gap."""
+    prob = scaling_problem(n_clients)
+    agg = aggregate_problem(prob)
+    tokens = list(agg.structure.keys)
+    clients = {f"c{i}": (tokens[k], float(d)) for i, (k, d) in
+               enumerate(zip(agg.structure.class_of_client, prob.data.R))}
+    state = IncrementalState(
+        agg.problem.data, tokens,
+        solve_lddm(agg.problem, **RUNTIME_LDDM).allocation,
+        clients=clients, drift_limit=10.0)
+    out = {"event_ms": [], "resolve_ms": [], "gaps": [], "sweeps": 0,
+           "fallbacks": 0}
+    for i, event in enumerate(churn_events(
+            np.random.default_rng(event_seed), list(clients), FIG9_PATTERNS,
+            n_events)):
+        t0 = time.perf_counter()
+        result = state.apply_event(event)
+        out["event_ms"].append(1e3 * (time.perf_counter() - t0))
+        out["sweeps"] += result.sweeps
+        out["fallbacks"] += not result.ok
+        if result.ok and i % compare_every == 0:
+            t0 = time.perf_counter()
+            sol = solve_lddm(ReplicaSelectionProblem(state.class_data()),
+                             warm_start=state.Q.copy(), mu0=state.mu(),
+                             **RUNTIME_LDDM)
+            out["resolve_ms"].append(1e3 * (time.perf_counter() - t0))
+            out["gaps"].append(abs(state.objective() - sol.objective)
+                               / max(abs(sol.objective), 1e-12))
+    out["p99_ms"] = float(np.percentile(out["event_ms"], 99))
+    out["speedup"] = float(np.mean(out["resolve_ms"])
+                           / np.mean(out["event_ms"]))
+    return out
+
+
+def _render(out):
+    return (f"events {len(out['event_ms'])}  p99 {out['p99_ms']:.3f} ms  "
+            f"sweeps {out['sweeps']}  speedup {out['speedup']:.1f}x  "
+            f"worst gap {max(out['gaps']):.2e}  fallbacks {out['fallbacks']}")
+
 
 def test_bench_incremental_events(benchmark, report_sink):
-    result = benchmark.pedantic(
-        fig9.run_incremental_events,
-        kwargs={"n_clients": 10_000, "n_events": 200},
-        rounds=1, iterations=1)
-    report_sink("incremental_events", result.render())
+    out = benchmark.pedantic(churn, args=(200,), rounds=1, iterations=1)
+    report_sink("incremental_events", _render(out))
     # The acceptance gate: a per-client event costs a bounded number of
     # refinement sweeps, not a re-solve...
-    sweeps_per_event = result.extras["sweeps"] / len(result.event_ms)
+    sweeps_per_event = out["sweeps"] / len(out["event_ms"])
     assert sweeps_per_event <= MAX_SWEEPS_PER_EVENT
     # ...while landing on the solver's answer at every compared event.
-    assert result.worst_gap() <= MAX_REL_GAP
-    assert result.fallbacks == 0
-    benchmark.extra_info["mean_event_ms"] = round(result.mean_event_ms(), 4)
+    assert max(out["gaps"]) <= MAX_REL_GAP
+    assert out["fallbacks"] == 0
+    benchmark.extra_info["mean_event_ms"] = round(
+        float(np.mean(out["event_ms"])), 4)
     benchmark.extra_info["sweeps_per_event"] = round(sweeps_per_event, 3)
-    benchmark.extra_info["speedup"] = round(result.speedup(), 2)
+    benchmark.extra_info["speedup"] = round(out["speedup"], 2)
 
 
 def test_bench_incremental_churn_soak(benchmark, report_sink):
@@ -42,16 +95,14 @@ def test_bench_incremental_churn_soak(benchmark, report_sink):
     # one state, objective-checked every 25 events.  The population and
     # total demand random-walk, so this exercises drift accounting and
     # headroom tracking far past what the headline bench touches.
-    result = benchmark.pedantic(
-        fig9.run_incremental_events,
-        kwargs={"n_clients": 10_000, "n_events": 1000, "compare_every": 25,
-                "event_seed": 11},
+    out = benchmark.pedantic(
+        churn, args=(1000,), kwargs={"compare_every": 25, "event_seed": 11},
         rounds=1, iterations=1)
-    report_sink("incremental_churn_soak", result.render())
+    report_sink("incremental_churn_soak", _render(out))
     # Tail latency stays bounded across the whole soak...
-    assert result.event_p(99) <= 5.0
+    assert out["p99_ms"] <= 5.0
     # ...the allocation never drifts off the solver's answer...
-    assert result.worst_gap() <= MAX_REL_GAP
+    assert max(out["gaps"]) <= MAX_REL_GAP
     # ...and the state absorbs the churn without bailing to full solves.
-    assert result.fallbacks == 0
-    benchmark.extra_info["p99_event_ms"] = round(result.event_p(99), 4)
+    assert out["fallbacks"] == 0
+    benchmark.extra_info["p99_event_ms"] = round(out["p99_ms"], 4)

@@ -419,18 +419,14 @@ class IncrementalState:
         gaps[skip] = 0.0
         return np.maximum(gaps, 0.0)
 
-    def _kkt_residual(self) -> float:
-        """Worst cross-row KKT violation, relative to the marginal scale."""
-        return float(np.max(self._kkt_gaps(), initial=0.0))
-
     def kkt_residual(self) -> float:
-        """Public view of the worst cross-row KKT gap (relative).
+        """Worst cross-row KKT violation, relative to the marginal scale.
 
         The sharded coordinator folds this — evaluated against each
         shard's current background — into its global convergence
         residual.
         """
-        return self._kkt_residual()
+        return float(np.max(self._kkt_gaps(), initial=0.0))
 
     def refine(self) -> tuple[bool, int]:
         """Gauss–Seidel sweeps over violating rows to the KKT residual bound.
@@ -455,7 +451,7 @@ class IncrementalState:
                 if not self._rebalance_row(int(k)):
                     return False, sweep + 1
         self.loads = self.Q.sum(axis=0)
-        return self._kkt_residual() <= self.kkt_rtol, self.max_sweeps
+        return self.kkt_residual() <= self.kkt_rtol, self.max_sweeps
 
     # -- client registry -----------------------------------------------------
     @property

@@ -60,6 +60,11 @@ __all__ = ["ShardRound", "SolveShard", "partition_classes"]
 #: object, same id) with the one whose geometry it cached.
 _VERSION_COUNTER = itertools.count(1)
 
+#: Relative KKT gap a shard's Gauss–Seidel polish certifies rows to, and
+#: its sweep cap per refine.  Nothing tunes either per plane.
+_KKT_RTOL = 1e-9
+_MAX_SWEEPS = 64
+
 
 def partition_classes(demands: np.ndarray, n_shards: int) -> np.ndarray:
     """Demand-balanced class -> shard assignment (deterministic greedy LPT).
@@ -135,7 +140,6 @@ class SolveShard:
                  gamma: np.ndarray, mask: np.ndarray,
                  allocation: np.ndarray | None = None,
                  clients: dict[str, tuple[bytes, float]] | None = None,
-                 kkt_rtol: float = 1e-9, max_sweeps: int = 64,
                  drift_limit: float = 2.5) -> None:
         data = _class_slice(demands, capacities, prices, alpha, beta,
                             gamma, mask)
@@ -144,7 +148,7 @@ class SolveShard:
         self.shard_id = int(shard_id)
         self.state = IncrementalState(
             data, tokens, Q0, clients=clients, drift_limit=drift_limit,
-            kkt_rtol=kkt_rtol, max_sweeps=max_sweeps)
+            kkt_rtol=_KKT_RTOL, max_sweeps=_MAX_SWEEPS)
         self.rounds_run = 0
         self.version = next(_VERSION_COUNTER)
         self._static_cache: dict | None = None
@@ -281,7 +285,6 @@ class SolveShard:
                 "shard": self.shard_id, "tokens": list(st.tokens),
                 "demands": st.D, "capacities": st.B, "prices": st.u,
                 "alpha": st.alpha, "beta": st.beta, "gamma": st.gamma,
-                "mask": st.masks, "kkt_rtol": st.kkt_rtol,
-                "max_sweeps": st.max_sweeps,
+                "mask": st.masks,
             }
         return self._static_cache

@@ -70,8 +70,7 @@ def _build_worker_shard(task: dict) -> tuple[SolveShard,
         task["shard"], tokens=geo["tokens"], demands=geo["demands"],
         capacities=geo["capacities"], prices=geo["prices"],
         alpha=geo["alpha"], beta=geo["beta"], gamma=geo["gamma"],
-        mask=geo["mask"], kkt_rtol=geo["kkt_rtol"],
-        max_sweeps=geo["max_sweeps"])
+        mask=geo["mask"])
     state_shm = shared_memory.SharedMemory(name=task["state_name"])
     return shard, state_shm
 

@@ -104,8 +104,6 @@ class ShardingConfig:
     tol: float = 1e-8
     damping: float = 0.5
     refresh_residual: float = 1e-3
-    kkt_rtol: float = 1e-9
-    max_sweeps: int = 64
     drift_limit: float = 2.5
     max_workers: int | None = None
     rebalance_skew: float | None = 2.0
@@ -253,7 +251,6 @@ class ShardCoordinator:
                 beta=self.beta, gamma=self.gamma, mask=masks[idx],
                 allocation=None if rows is None else rows[idx],
                 clients={c: r for c, r in clients.items() if r[0] in own},
-                kkt_rtol=cfg.kkt_rtol, max_sweeps=cfg.max_sweeps,
                 drift_limit=cfg.drift_limit))
         self.shards = shards
         self._token_shard = token_shard

@@ -22,8 +22,10 @@ import numpy as np
 from repro.cluster.pricing import PAPER_PRICES
 from repro.core.incremental import ClientArrival, ClientDeparture, \
     DemandChange
+from repro.core.params import ProblemData
+from repro.core.problem import ReplicaSelectionProblem
 from repro.errors import ValidationError
-from repro.util.rng import RngFactory
+from repro.util.rng import RngFactory, make_rng
 from repro.workload.apps import (
     FILE_SERVICE,
     VIDEO_STREAMING,
@@ -34,8 +36,18 @@ from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import RequestTrace
 from repro.workload.youtube import YoutubeTrafficModel
 
-__all__ = ["Scenario", "PAPER_VIDEO", "PAPER_DFS", "make_trace",
-           "churn_events"]
+__all__ = ["Scenario", "PAPER_VIDEO", "PAPER_DFS", "FIG9_PRICES",
+           "FIG9_PATTERNS", "make_trace", "scaling_problem", "churn_events"]
+
+#: The Fig. 9 sweep's 3-replica price vector (prices do not affect
+#: response time); also :func:`scaling_problem`'s default prices.
+FIG9_PRICES = (1.0, 8.0, 1.0)
+
+#: :func:`scaling_problem`'s default latency-eligibility patterns, one
+#: row per client region (read-only: event streams hand out its rows).
+FIG9_PATTERNS = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                         dtype=bool)
+FIG9_PATTERNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,50 @@ def make_trace(scenario: Scenario, seed: int | None = None) -> RequestTrace:
         clients=ClientPopulation.uniform(scenario.n_clients),
         app=scenario.app)
     return gen.generate(rng.stream("trace"), count=scenario.n_requests)
+
+
+def scaling_problem(n_clients: int, seed: int = 2013, *,
+                    n_replicas: int = 3, n_patterns: int = 4
+                    ) -> ReplicaSelectionProblem:
+    """A fig9-style batch instance with ``n_clients`` clients.
+
+    By default three replicas at the sweep's prices, per-client demands
+    drawn from the DFS profile's lognormal size distribution (drawn
+    vectorized — same distribution as ``FILE_SERVICE.sample_size``),
+    and four latency-eligibility patterns standing in for client
+    regions; replica capacities scale with total demand so every count
+    stays feasible.  ``n_replicas`` / ``n_patterns`` widen the instance
+    for the sharded benches (more class rows to partition); the default
+    ``(3, 4)`` instance is byte-identical to what this function has
+    always produced.
+    """
+    if n_clients < 1:
+        raise ValidationError("n_clients must be positive")
+    if n_replicas < 1 or n_patterns < 1:
+        raise ValidationError("n_replicas and n_patterns must be positive")
+    rng = make_rng(seed)
+    sigma = FILE_SERVICE.size_sigma
+    mu = float(np.log(FILE_SERVICE.mean_size_mb)) - sigma ** 2 / 2.0
+    demands = rng.lognormal(mean=mu, sigma=sigma, size=n_clients)
+    if (n_replicas, n_patterns) == (3, 4):
+        patterns, prices = FIG9_PATTERNS, FIG9_PRICES
+    else:
+        # All-ones first, then random patterns with >= 2 eligible
+        # replicas each (>= 2 keeps every demand split feasible under
+        # the 0.6*total per-column capacity, by Hall's condition).
+        patterns = np.ones((n_patterns, n_replicas), dtype=bool)
+        lo = min(2, n_replicas)
+        for p in range(1, n_patterns):
+            k = int(rng.integers(lo, n_replicas + 1))
+            off = rng.choice(n_replicas, size=n_replicas - k, replace=False)
+            patterns[p, off] = False
+        prices = tuple(np.resize(np.asarray(FIG9_PRICES, dtype=float),
+                                 n_replicas))
+    mask = patterns[rng.integers(0, len(patterns), size=n_clients)]
+    total = float(demands.sum())
+    data = ProblemData.paper_defaults(
+        demands=demands, prices=prices, bandwidth=0.6 * total, mask=mask)
+    return ReplicaSelectionProblem(data)
 
 
 def churn_events(rng: np.random.Generator, names: list[str],

@@ -32,8 +32,9 @@ from repro.edr.coordinator import (
     solve_sharded,
 )
 from repro.errors import InfeasibleProblemError, ValidationError
-from repro.experiments import fig9
+from repro.experiments.scenarios import scaling_problem
 from tests.core.conftest import random_instance
+from tests.edr.test_fleet_elasticity import install_target
 
 #: Acceptance bound: sharded objective within this relative gap of the
 #: centralized reference / tight monolithic solve.
@@ -53,7 +54,7 @@ def _class_space(demands, prices=(1.0, 8.0, 1.0), mask=None,
 
 
 def _make_coord(n_clients=400, n_shards=3, seed=2013, **cfg_kwargs):
-    problem = fig9.scaling_problem(n_clients, seed=seed)
+    problem = scaling_problem(n_clients, seed=seed)
     agg = aggregate_problem(problem)
     coord = ShardCoordinator(
         agg.problem.data, list(agg.structure.keys),
@@ -99,7 +100,7 @@ class TestConvergence:
         assert problem.violation(P) < 1e-6 * float(problem.data.R.max())
 
     def test_solve_sharded_gap_and_feasibility(self):
-        problem = fig9.scaling_problem(600, seed=7)
+        problem = scaling_problem(600, seed=7)
         sol = solve_sharded(problem, 3)
         mono = solve_aggregated(problem, "lddm", max_iter=5000, tol=1e-10,
                                 track_objective=False)
@@ -110,7 +111,7 @@ class TestConvergence:
         assert sol.method == "sharded"
 
     def test_single_shard_bit_identical_to_monolithic(self):
-        problem = fig9.scaling_problem(300, seed=5)
+        problem = scaling_problem(300, seed=5)
         one = solve_sharded(problem, 1)
         mono = solve_aggregated(problem, "lddm")
         assert np.array_equal(one.allocation, mono.allocation)
@@ -118,7 +119,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("mode", ["process"])
     def test_modes_bit_identical(self, mode):
-        problem = fig9.scaling_problem(500, seed=3)
+        problem = scaling_problem(500, seed=3)
         serial = solve_sharded(problem, 3, mode="serial")
         other = solve_sharded(problem, 3, mode=mode)
         assert np.array_equal(serial.allocation, other.allocation)
@@ -173,9 +174,33 @@ class TestConvergence:
         short = agg.structure.demands - coord.rows_for(tokens).sum(axis=1)
         assert short.max() > 0.5
 
+    @pytest.mark.parametrize("factor, stalled_at", [
+        (10.0, None), (50.0, 0.894), (100.0, 0.973)])
+    def test_damping_stall_is_reported_not_masked(self, factor,
+                                                  stalled_at):
+        # Every class off shard 0 shrinks ``factor``-fold.  Damping only
+        # decays an emptied share by (1 - damping) a round, so from 1/50
+        # on the exchange stalls on shard 0's KKT gap; it must say so.
+        problem, agg, coord = _make_coord()
+        coord.solve()
+        tokens = list(agg.structure.keys)
+        own = np.array([coord._token_shard[t] == 0 for t in tokens])
+        install_target(coord, tokens, agg.structure.masks,
+                       np.where(own, 1.0, 1.0 / factor)
+                       * agg.structure.demands)
+        res = coord.solve(max_rounds=400)
+        assert res.residual == coord.residual()
+        if stalled_at is None:
+            assert res.converged and res.rounds == 14
+            assert res.residual <= coord.config.tol
+        else:
+            assert not res.converged
+            assert res.rounds == 400
+            assert res.residual == pytest.approx(stalled_at, abs=1e-3)
+
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
     def test_adopts_rows_solved_elsewhere(self, n_shards):
-        problem = fig9.scaling_problem(400, seed=2013)
+        problem = scaling_problem(400, seed=2013)
         agg = aggregate_problem(problem)
         tokens = list(agg.structure.keys)
         rows = solve_aggregated(problem, "lddm", max_iter=5000, tol=1e-10,
@@ -234,7 +259,7 @@ class TestReplicaDeath:
 
 class TestEventRouting:
     def _converged_coord(self, n_clients=300, n_shards=3, **cfg_kwargs):
-        problem = fig9.scaling_problem(n_clients, seed=2013)
+        problem = scaling_problem(n_clients, seed=2013)
         agg = aggregate_problem(problem)
         tokens = list(agg.structure.keys)
         clients = {

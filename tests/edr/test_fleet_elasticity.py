@@ -16,14 +16,16 @@ from repro.core.aggregate import aggregate_problem
 from repro.core.incremental import ClientArrival, DemandChange
 from repro.edr.coordinator import ShardCoordinator, ShardingConfig
 from repro.errors import ValidationError
-from repro.experiments import fig9
+from repro.experiments.scenarios import scaling_problem
 from repro.obs.events import validate_record
 from repro.obs.recorder import TraceRecorder
 from repro.util.cpus import available_cpus, resolve_workers
 
 
-def _make_coord(n_clients=400, n_shards=3, seed=2013, **cfg_kwargs):
-    problem = fig9.scaling_problem(n_clients, seed=seed)
+def _make_coord(n_clients=400, n_shards=3, seed=2013, n_replicas=3,
+                n_patterns=4, **cfg_kwargs):
+    problem = scaling_problem(n_clients, seed=seed, n_replicas=n_replicas,
+                              n_patterns=n_patterns)
     agg = aggregate_problem(problem)
     tokens = list(agg.structure.keys)
     clients = {f"c{i}": (tokens[agg.structure.class_of_client[i]],
@@ -64,6 +66,32 @@ def skew_shard(coord, agg, shard, factor):
                    * agg.structure.demands)
     assert coord.solve().converged
     return tokens
+
+
+def hot_spot_stream(mode, n_clients=20_000, n_events=60, n_shards=3):
+    """Arrivals onto the crowded shard's heaviest class until it re-lays.
+
+    Each arrival carries ``1 / (2 * n_events)`` of the instance's demand;
+    the crowded shard's sibling classes fit around the hot one, so the
+    skew is repairable.  Returns the plane's counters, skews and rows.
+    """
+    agg, coord = _make_coord(n_clients, n_shards, n_replicas=6,
+                             n_patterns=12, mode=mode, rebalance_skew=1.5)
+    with coord:
+        coord.solve()
+        crowded = coord.shards[int(np.argmax(
+            [sh.n_rows for sh in coord.shards]))].state
+        hot = crowded.masks[int(np.argmax(crowded.D))]
+        per_event = float(agg.structure.demands.sum()) * 0.5 / n_events
+        skews = [coord.demand_skew()]
+        for i in range(n_events):
+            coord.apply_event(ClientArrival(f"hot{i}", per_event, hot.copy()))
+            skews.append(coord.demand_skew())
+        return {"migrations": coord.migrations, "resizes": coord.resizes,
+                "refreshes": coord.refreshes, "fallbacks": coord.fallbacks,
+                "skew_before": skews[0], "skew_peak": max(skews),
+                "skew_after": skews[-1], "residual": coord.residual(),
+                "rows": coord.rows_for(list(agg.structure.keys))}
 
 
 class TestMigration:
@@ -126,11 +154,13 @@ class TestMigration:
     def test_mode_bit_identity_after_rebalance(self):
         # Auto-rebalance fires during a skewed stream; both modes must
         # re-lay the same classes and land on identical bits.
-        result = fig9.run_elastic_skew(n_clients=4_000, n_events=30)
-        assert result.migrations >= 1
-        assert result.resizes == 0
-        assert result.skew_after <= 1.5
-        assert result.modes_identical
+        serial = hot_spot_stream("serial", n_clients=4_000, n_events=30)
+        proc = hot_spot_stream("process", n_clients=4_000, n_events=30)
+        assert serial["migrations"] >= 1
+        assert serial["resizes"] == 0
+        assert serial["skew_after"] <= 1.5
+        assert proc["migrations"] == serial["migrations"]
+        assert np.array_equal(proc["rows"], serial["rows"])
 
     def test_unrepairable_skew_does_not_relayout(self):
         # One class holds more than rebalance_skew / n_shards of the

@@ -51,7 +51,9 @@ def public_functions():
     return sorted(seen.items())
 
 
-@pytest.mark.parametrize("package", PACKAGES + ["repro.core.shard"])
+@pytest.mark.parametrize("package", PACKAGES + [
+    "repro.core.shard", "repro.experiments.fig9",
+    "repro.experiments.scenarios"])
 def test_all_names_resolve(package):
     module = importlib.import_module(package)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
@@ -116,6 +118,28 @@ def test_class_migration_and_shard_tuner_are_gone():
     for cls in (SolveShard, IncrementalState):
         for name in ("extract_class", "install_class"):
             assert not hasattr(cls, name)
+
+
+def test_shard_refine_tolerances_are_constants():
+    """Nothing tuned a shard's KKT tolerance or sweep cap per plane."""
+    from repro.edr.coordinator import ShardingConfig
+
+    for field, value in (("kkt_rtol", 1e-9), ("max_sweeps", 64)):
+        with pytest.raises(TypeError, match=field):
+            ShardingConfig(**{field: value})
+
+
+def test_fig9_holds_only_the_figure():
+    """The scaling runners left ``src/``; their benches drive the API."""
+    from repro.experiments import fig9
+
+    gone = ("solver_scaling", "scaling_point", "incremental_events",
+            "sharded_scaling", "sharded_point", "sharded_events",
+            "elastic_skew")
+    assert not [n for n in gone if hasattr(fig9, f"run_{n}")]
+    assert not hasattr(fig9, "scaling_problem")
+    assert sorted(fig9.__all__) == [
+        "DEFAULT_REQUEST_COUNTS", "Fig9Result", "run", "run_point"]
 
 
 def test_thread_shard_mode_is_rejected():
