@@ -8,7 +8,9 @@ external orchestrator produces.  Gates:
 * end-to-end parity: the allocation served over HTTP is exactly the
   in-process one (JSON round-trips floats via ``repr``);
 * sustained throughput: the event stream must clear a conservative
-  requests/second floor (the transport must not dominate the solver).
+  requests/second floor (the transport must not dominate the solver);
+* wire size: a single-event response stays class-space (a byte count,
+  deterministic under the fixed seed, not a timing).
 """
 
 import time
@@ -35,6 +37,13 @@ BATCH = 10
 #: incremental plane).  Measured ~23 on a dev box; the floor catches
 #: step-change regressions, not scheduler jitter.
 MIN_BATCH_RPS = 5.0
+
+#: Ceiling on the JSON size of a single-event ``/v1/events`` response
+#: over the ~2 000-client registry the stream leaves.  The class-space
+#: response (K class rows + one class index and demand per client) is
+#: 66 004 bytes; the client-space one it replaced (the C x 8 allocation
+#: matrix) was 340 146, so a return to it fails here.
+MAX_EVENT_RESPONSE_BYTES = 80_000
 
 
 def _build_request(rng) -> SolveRequest:
@@ -75,11 +84,9 @@ def _event_stream(rng):
     return events
 
 
-def test_bench_service_load(report_sink):
-    rng = np.random.default_rng(20130923)
-    request = _build_request(rng)
-    events = _event_stream(rng)
-
+def _serve_stream(request, events):
+    """One armed solve, the batched event stream, one single-event call
+    and the membership / metrics scrapes, against a fresh live server."""
     with serve() as server:
         client = connect(server.url)
 
@@ -95,11 +102,24 @@ def test_bench_service_load(report_sink):
             assert resp.applied == len(events[i:i + BATCH])
             batches += 1
         events_s = time.perf_counter() - t0
-        batch_rps = batches / events_s
+        single = client.events([WireEvent(kind="demand_change", client="c7",
+                                          demand=1.25)])
 
         client.register("bench-replica")
-        membership = client.membership()
-        scrape = client.metrics_text()
+        return (via_http, solve_s, events_s, batches / events_s, single,
+                client.membership(), client.metrics_text())
+
+
+def test_bench_service_load(benchmark, report_sink):
+    rng = np.random.default_rng(20130923)
+    request = _build_request(rng)
+    events = _event_stream(rng)
+
+    via_http, solve_s, events_s, batch_rps, single, membership, scrape = \
+        benchmark.pedantic(_serve_stream, args=(request, events),
+                           rounds=1, iterations=1)
+    event_bytes = len(single.to_json())
+    benchmark.extra_info["event_response_bytes"] = event_bytes
 
     # Parity: HTTP serves exactly the in-process answer.
     with InProcessControlPlane() as local:
@@ -119,7 +139,10 @@ def test_bench_service_load(report_sink):
         f"(solver {via_http.solve_time_s * 1000:.1f} ms)",
         f"  events: {batch_rps:.1f} batches/s, {event_ms:.2f} ms/event",
         f"  parity vs in-process: {gap:.1e}",
+        f"  single-event response: {event_bytes} bytes "
+        f"({len(single.clients)} clients)",
     ]
     report_sink("service_load", "\n".join(lines))
 
+    assert event_bytes <= MAX_EVENT_RESPONSE_BYTES
     assert batch_rps >= MIN_BATCH_RPS

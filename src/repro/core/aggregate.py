@@ -50,7 +50,35 @@ from repro.errors import ValidationError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["ClassStructure", "AggregatedProblem", "aggregate_problem",
-           "solve_aggregated"]
+           "solve_aggregated", "expand_class_rows"]
+
+
+def _class_weights(demands: np.ndarray, class_of: np.ndarray,
+                   class_demands: np.ndarray) -> np.ndarray:
+    """``R_c / D_k(c)`` per client, 0 where the class demand is not
+    positive: one (C,) buffer, gathered then divided in place (a
+    demand-free class divides by inf)."""
+    weights = np.take(np.where(class_demands > 0.0, class_demands, np.inf),
+                      class_of)
+    np.divide(demands, weights, out=weights)
+    return weights
+
+
+def expand_class_rows(rows: np.ndarray, class_of: np.ndarray,
+                      demands: np.ndarray,
+                      class_demands: np.ndarray) -> np.ndarray:
+    """Exact disaggregation ``P[c] = rows[k(c)] * R_c / D_k(c)`` -> (C, N).
+
+    ``rows`` is (K, N), ``class_of`` (C,) indexes its rows, ``demands``
+    the (C,) client demands and ``class_demands`` the (K,) class totals
+    the rows sum to.  Members of a class whose demand is not positive
+    get zero rows.  The one disaggregation formula: class structures,
+    the service's event plane and its wire responses all expand through
+    it, so the three agree bit for bit.
+    """
+    P = np.take(rows, class_of, axis=0)
+    P *= _class_weights(demands, class_of, class_demands)[:, None]
+    return P
 
 
 @dataclass(frozen=True)
@@ -65,15 +93,12 @@ class ClassStructure:
         renumbers existing classes, and K == C reduces to the identity).
     demands: (K,) per-class total demand ``D_k``.
     client_demands: (C,) the original per-client demands ``R_c``.
-    weights: (C,) exact disaggregation weights ``R_c / D_k(c)`` (zero for
-        clients of zero-demand classes).
     """
 
     class_of_client: np.ndarray
     masks: np.ndarray
     demands: np.ndarray
     client_demands: np.ndarray
-    weights: np.ndarray
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, demands: np.ndarray
@@ -89,14 +114,8 @@ class ClassStructure:
         first, class_of_client = group_rows(M)
         class_demand = np.bincount(class_of_client, weights=R,
                                    minlength=first.size)
-        # One (C,) buffer: gather each client's class demand, divide in
-        # place.  A demand-free class divides by inf, so its members get
-        # weight 0 without a masked write.
-        weights = np.take(np.where(class_demand > 0.0, class_demand, np.inf),
-                          class_of_client)
-        np.divide(R, weights, out=weights)
         return cls(class_of_client=class_of_client, masks=M[first],
-                   demands=class_demand, client_demands=R, weights=weights)
+                   demands=class_demand, client_demands=R)
 
     # -- views ---------------------------------------------------------------
     @property
@@ -113,6 +132,13 @@ class ClassStructure:
     def n_replicas(self) -> int:
         """N, the replica count."""
         return self.masks.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(C,) exact disaggregation weights ``R_c / D_k(c)`` (zero for
+        clients of zero-demand classes)."""
+        return _class_weights(self.client_demands, self.class_of_client,
+                              self.demands)
 
     @property
     def keys(self) -> tuple[bytes, ...]:
@@ -169,21 +195,8 @@ class ClassStructure:
         Q = np.asarray(reduced, dtype=float)
         if Q.shape != (self.n_classes, self.n_replicas):
             raise ValidationError("reduced allocation shape mismatch")
-        P = np.take(Q, self.class_of_client, axis=0)
-        P *= self.weights[:, None]
-        return P
-
-    def expand_mu(self, reduced_mu: np.ndarray) -> np.ndarray:
-        """Broadcast per-class LDDM multipliers to the member clients.
-
-        Exchangeable clients share a dual variable at the optimum (the
-        multiplier prices a unit of the class's demand), so the class
-        value is exact for every member.
-        """
-        mu = np.asarray(reduced_mu, dtype=float)
-        if mu.shape != (self.n_classes,):
-            raise ValidationError("reduced mu must have one entry per class")
-        return mu[self.class_of_client]
+        return expand_class_rows(Q, self.class_of_client,
+                                 self.client_demands, self.demands)
 
 
 @dataclass(frozen=True)

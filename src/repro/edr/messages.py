@@ -17,10 +17,14 @@ Wire-model contract (enforced by ``tests/service/test_schemas.py``):
 * ``to_json`` / ``from_json`` round-trip to an equal model;
 * unknown fields in an incoming payload are tolerated (forward
   compatibility within a protocol version);
-* a payload whose ``v`` field is missing, malformed, or newer than
-  :data:`WIRE_VERSION` is rejected with
-  :class:`~repro.errors.VersionMismatchError` — a peer speaking a newer
-  protocol must not be half-parsed.
+* a payload whose ``v`` field is missing, malformed, newer than
+  :data:`WIRE_VERSION`, or older than the model's
+  :attr:`~WireModel.MIN_VERSION` is rejected with
+  :class:`~repro.errors.VersionMismatchError` — a peer speaking another
+  protocol must not be half-parsed;
+* solve and event responses are class-space: they carry K class rows
+  and a client -> class index, and derive the C x N ``allocation`` from
+  them when built (``init=False`` fields never travel).
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
 
+import numpy as np
+
+from repro.core.aggregate import expand_class_rows
 from repro.errors import VersionMismatchError, WireFormatError
 
 __all__ = [
@@ -82,28 +89,19 @@ class MsgKind:
 
 #: Wire protocol version this build speaks.  Bump on any incompatible
 #: schema change; parsers reject payloads declaring a newer version.
-WIRE_VERSION = 1
+#: Version 2 made solve and event responses class-space (K class rows
+#: plus a client -> class index instead of the C x N client matrix).
+WIRE_VERSION = 2
 
-#: Payload keys consumed by the envelope, never mapped to model fields.
-_ENVELOPE_KEYS = ("v", "type")
 
-
-def _plain(value: Any) -> Any:
-    """Recursively convert a field value to plain JSON-compatible types."""
+def _encodable(value: Any) -> Any:
+    """``json.dumps`` hook for the values JSON does not encode natively."""
     if isinstance(value, WireModel):
-        return value.to_dict()
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    tolist = getattr(value, "tolist", None)
-    if callable(tolist):
-        return _plain(tolist())  # numpy array or scalar
-    item = getattr(value, "item", None)
-    if callable(item) and not isinstance(value, (str, bytes)):
-        return _plain(item())  # other scalar wrappers
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return value._payload()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     raise WireFormatError(
         f"field value of type {type(value).__name__} is not wire-encodable")
 
@@ -113,27 +111,42 @@ class WireModel:
     """Base for every wire request/response model.
 
     Subclasses are plain dataclasses whose fields hold JSON-compatible
-    values (numbers, strings, bools, lists, dicts, nested models).  The
-    envelope adds ``v`` (protocol version) and ``type`` (the model's
-    :attr:`TYPE` tag); :meth:`from_dict` validates both, tolerates
-    unknown fields, and rejects missing required fields.
+    values (numbers, strings, bools, lists, dicts, nested models; numpy
+    arrays and scalars encode as their lists and items).  Fields with
+    ``init=False`` are derived from the others when the model is built
+    and never travel.  The envelope adds ``v`` (protocol version) and
+    ``type`` (the model's :attr:`TYPE` tag); :meth:`from_dict` validates
+    both, tolerates unknown fields, and rejects missing required fields.
     """
 
     #: Wire tag identifying the model; unique across the registry.
     TYPE: ClassVar[str] = ""
+    #: Oldest wire version whose payload of this type this build reads.
+    MIN_VERSION: ClassVar[int] = 1
     #: Optional per-field parsers applied to incoming payload values.
     _CONVERTERS: ClassVar[dict[str, Callable[[Any], Any]]] = {}
 
-    def to_dict(self) -> dict:
-        """The enveloped plain-dict form of this model."""
+    @classmethod
+    def _wire_fields(cls) -> list[dataclasses.Field]:
+        return [f for f in dataclasses.fields(cls) if f.init]
+
+    def _payload(self) -> dict:
         out: dict[str, Any] = {"v": WIRE_VERSION, "type": self.TYPE}
-        for f in dataclasses.fields(self):
-            out[f.name] = _plain(getattr(self, f.name))
+        for f in self._wire_fields():
+            out[f.name] = getattr(self, f.name)
         return out
 
     def to_json(self) -> str:
         """The enveloped JSON text form of this model."""
-        return json.dumps(self.to_dict())
+        try:
+            return json.dumps(self._payload(), default=_encodable)
+        except (TypeError, ValueError) as exc:  # WireFormatError included
+            raise WireFormatError(f"{self.TYPE}: {exc}") from exc
+
+    def to_dict(self) -> dict:
+        """The enveloped plain-dict form of this model (what
+        :meth:`to_json` encodes, decoded again)."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, payload: Any) -> "WireModel":
@@ -153,12 +166,17 @@ class WireModel:
                 f"{cls.TYPE or cls.__name__}: peer speaks wire version "
                 f"{version}, this build speaks {WIRE_VERSION}",
                 got=version, expected=WIRE_VERSION)
+        if version < cls.MIN_VERSION:
+            raise VersionMismatchError(
+                f"{cls.TYPE}: wire version {version} payloads are no longer "
+                f"read; this build reads version {cls.MIN_VERSION} and up",
+                got=version, expected=WIRE_VERSION)
         tag = payload.get("type")
         if tag is not None and tag != cls.TYPE:
             raise WireFormatError(
                 f"expected a {cls.TYPE!r} payload, got type {tag!r}")
         kwargs: dict[str, Any] = {}
-        for f in dataclasses.fields(cls):
+        for f in cls._wire_fields():
             if f.name in payload:
                 value = payload[f.name]
                 converter = cls._CONVERTERS.get(f.name)
@@ -231,27 +249,88 @@ class SolveRequest(WireModel):
     options: dict = field(default_factory=dict)
 
 
+def _class_allocation(model) -> list:
+    """The (C, N) client rows a class-space response stands for, checked.
+
+    One vectorised expansion (:func:`~repro.core.aggregate.
+    expand_class_rows`) of ``class_rows`` by ``class_of``,
+    ``client_demands`` and ``class_demand``: exact, since JSON carries
+    every float by ``repr``, so a decoded response rebuilds the sender's
+    rows bit for bit.
+    """
+    rows = np.asarray(model.class_rows, dtype=float)
+    class_demand = np.asarray(model.class_demand, dtype=float)
+    class_of = np.asarray(model.class_of)
+    demands = np.asarray(model.client_demands, dtype=float)
+    K = class_demand.shape[0] if class_demand.ndim == 1 else -1
+    if rows.ndim != 2 or rows.shape[0] != K:
+        raise WireFormatError(
+            "class_rows must hold one row per class_demand entry")
+    if class_of.ndim != 1 or demands.shape != class_of.shape:
+        raise WireFormatError(
+            "class_of and client_demands need one entry per client")
+    if class_of.size and (class_of.dtype.kind not in "iu"
+                          or class_of.min() < 0 or class_of.max() >= K):
+        raise WireFormatError("class_of entries must index class_rows")
+    if model.clients is not None and len(model.clients) != class_of.size:
+        raise WireFormatError("clients must name every class_of entry")
+    class_of = class_of.astype(np.intp, copy=False)
+    return expand_class_rows(rows, class_of, demands, class_demand).tolist()
+
+
+#: Per-element decoders of the class-space response fields; ``class_of``
+#: and ``client_demands`` (C entries each) are read by the vectorised
+#: check above instead.
+_CLASS_SPACE_CONVERTERS = {
+    "class_rows": _float_rows, "class_demand": _floats, "loads": _floats,
+    "clients": lambda v: [str(c) for c in v],
+}
+
+
 @dataclass
 class SolveResponse(WireModel):
-    """``POST /v1/solve`` result: allocation, duals, runtime fields."""
+    """``POST /v1/solve`` result, in class space.
+
+    The wire carries the K class rows (``class_rows``, summing to
+    ``class_demand``), the per-class multipliers ``class_duals``, and
+    each client's class (``class_of``) and demand (``client_demands``),
+    in request order.  ``allocation`` (C x N) and ``duals`` (C) are
+    derived from them when the model is built — the exact exchangeable
+    expansion ``class_rows[k] * R_c / D_k``, and each member's class
+    multiplier (exchangeable clients share one at the optimum: it
+    prices a unit of the class's demand) — and never travel.
+    """
 
     TYPE: ClassVar[str] = "solve_response"
-    _CONVERTERS: ClassVar[dict] = {
-        "allocation": _float_rows, "loads": _floats, "duals": _floats,
-        "clients": lambda v: [str(c) for c in v],
-    }
+    MIN_VERSION: ClassVar[int] = 2
+    _CONVERTERS: ClassVar[dict] = dict(_CLASS_SPACE_CONVERTERS,
+                                       class_duals=_floats)
 
-    allocation: list
+    class_rows: list
+    class_demand: list
+    class_of: list
+    client_demands: list
     objective: float
     iterations: int
     converged: bool
     loads: list = field(default_factory=list)
-    duals: list | None = None
+    class_duals: list | None = None
     method: str = ""
     solve_time_s: float | None = None
     warm_started: bool | None = None
     n_classes: int | None = None
     clients: list | None = None
+    allocation: list = field(init=False, repr=False, compare=False)
+    duals: list | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.allocation = _class_allocation(self)
+        self.duals = None
+        if self.class_duals is not None:
+            mu = np.asarray(self.class_duals, dtype=float)
+            if mu.shape != (len(self.class_rows),):
+                raise WireFormatError("class_duals need one entry per class")
+            self.duals = mu[np.asarray(self.class_of, dtype=np.intp)].tolist()
 
 
 @dataclass
@@ -296,8 +375,6 @@ class WireEvent(WireModel):
 
     def to_core(self):
         """Decode into the matching :mod:`repro.core.incremental` event."""
-        import numpy as np
-
         from repro.core.incremental import (
             ClientArrival, ClientDeparture, DemandChange,
         )
@@ -336,24 +413,32 @@ class EventResponse(WireModel):
 
     ``applied`` counts events absorbed in place; ``resolves`` counts the
     full (warm) re-solves fallback declines triggered.  The response
-    carries the post-stream per-client allocation so callers can verify
-    parity without a second round trip.
+    carries the post-stream plane in class space — its K class rows and
+    demands, and the sorted registry as ``clients`` with each one's
+    class and demand — so callers can verify parity without a second
+    round trip; ``allocation`` is derived from those exactly as in
+    :class:`SolveResponse`.
     """
 
     TYPE: ClassVar[str] = "event_response"
-    _CONVERTERS: ClassVar[dict] = {
-        "allocation": _float_rows, "loads": _floats,
-        "clients": lambda v: [str(c) for c in v],
-    }
+    MIN_VERSION: ClassVar[int] = 2
+    _CONVERTERS: ClassVar[dict] = _CLASS_SPACE_CONVERTERS
 
     applied: int
     resolves: int
     sweeps: int
     objective: float
+    class_rows: list
+    class_demand: list
+    class_of: list
+    client_demands: list
     loads: list = field(default_factory=list)
     clients: list = field(default_factory=list)
-    allocation: list = field(default_factory=list)
     fallback_reasons: dict = field(default_factory=dict)
+    allocation: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.allocation = _class_allocation(self)
 
 
 @dataclass

@@ -10,6 +10,7 @@ else changes.
 
 from __future__ import annotations
 
+import http.client
 import urllib.error
 import urllib.request
 
@@ -40,9 +41,11 @@ class EDRClient:
 
     Every method mirrors an :class:`~repro.service.plane.ControlPlane`
     method: requests are wire models serialized to JSON, responses are
-    parsed back into wire models.  Transport or remote failures raise
-    :class:`~repro.errors.ServiceError` carrying the HTTP status and the
-    remote error type; a 426 raises
+    parsed back into wire models.  Transport failures (unreachable
+    server, a connection reset or timeout mid-response, a malformed
+    HTTP reply) raise :class:`~repro.errors.ServiceError`; remote
+    failures raise it carrying the HTTP status and the remote error
+    type; a 426 raises
     :class:`~repro.errors.VersionMismatchError`.
     """
 
@@ -65,9 +68,12 @@ class EDRClient:
                 raw = resp.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
             raise self._remote_error(exc) from exc
-        except urllib.error.URLError as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError (refused, DNS), a connection reset or timeout
+            # mid-read, a truncated or garbled response: all transport.
+            reason = getattr(exc, "reason", None) or exc
             raise ServiceError(
-                f"cannot reach control plane at {url}: {exc.reason}") from exc
+                f"cannot reach control plane at {url}: {reason}") from exc
         if endpoint.response is None:
             return raw
         return endpoint.response.from_json(raw)

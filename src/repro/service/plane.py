@@ -57,23 +57,6 @@ from repro.obs.export import to_prometheus_text
 
 __all__ = ["ServiceConfig", "ControlPlane", "InProcessControlPlane"]
 
-def _client_rows(coord: ShardCoordinator,
-                 members: list[tuple[str, bytes, float]]) -> np.ndarray:
-    """Allocation rows of ``(name, token, demand)`` members, in order.
-
-    A client's row is its class row scaled by its share of the class
-    demand — the state's own ``D``, which the class row sums to.  Solve
-    responses and event snapshots both read the plane through this.
-    """
-    tokens, _, class_demand, rows = coord.class_snapshot()
-    index = {t: k for k, t in enumerate(tokens)}
-    k = np.array([index[token] for _, token, _ in members], dtype=int)
-    demand = np.array([d for _, _, d in members])
-    share = np.divide(demand, class_demand[k], out=np.zeros(k.shape),
-                      where=class_demand[k] > 0.0)
-    return rows[k] * share[:, None]
-
-
 @dataclass
 class ServiceConfig:
     """Configuration of one control-plane service instance.
@@ -147,16 +130,16 @@ class InProcessControlPlane:
         pipeline: group the clients into eligibility classes once, run
         the requested algorithm once, hand its class rows to a
         :class:`ShardCoordinator` (sharded per the service's
-        :class:`SolverOptions`, one shard otherwise) and read
-        ``allocation`` / ``loads`` / ``objective`` back from it the way
-        every event snapshot is read — the response equals the next
-        ``events([])`` exactly.  Under ``aggregate`` the algorithm runs
-        in class space; otherwise (``aggregate=False``, ``"reference"``)
-        its client rows are summed per class and the response is the
-        plane's exchangeable expansion of those sums: each client its
-        demand share of its class row, same loads, same objective.
-        Without ``clients`` nothing is armed and the response is the
-        solver's output as is.
+        :class:`SolverOptions`, one shard otherwise) and read the class
+        rows / ``loads`` / ``objective`` back from it the way every event
+        snapshot is read — the response equals the next ``events([])``
+        exactly.  Under ``aggregate`` the algorithm runs in class space;
+        otherwise (``aggregate=False``, ``"reference"``) its client rows
+        are summed per class.  Either way the response is class space:
+        its ``allocation`` is the exchangeable expansion of the class
+        rows, each client its demand share of its class row.  Without
+        ``clients`` nothing is armed and the class rows, loads and
+        objective are the solver's own.
         """
         data = self._problem_data(request)
         problem = ReplicaSelectionProblem(data)
@@ -181,45 +164,42 @@ class InProcessControlPlane:
         with self._serving("solve"):
             t0 = time.perf_counter()
             options = dict(request.options, recorder=self.recorder)
-            if clients is None:
-                solution = core_solve(problem, algorithm,
-                                      aggregate=aggregate, **options)
-                allocation, loads = solution.allocation, solution.loads
-                objective, n_classes = solution.objective, solution.n_classes
-                duals = recover_mu(problem, allocation)
-            else:
-                agg = aggregate_problem(problem, recorder=self.recorder)
-                structure, tokens = agg.structure, list(agg.structure.keys)
-                solution = core_solve(agg.problem if aggregate else problem,
-                                      algorithm, **options)
-                rows = solution.allocation if aggregate \
-                    else structure.reduce_rows(solution.allocation)
-                members = list(zip(
-                    clients, [tokens[k] for k in structure.class_of_client],
-                    data.R.tolist()))
+            agg = aggregate_problem(problem, recorder=self.recorder)
+            structure, tokens = agg.structure, list(agg.structure.keys)
+            solution = core_solve(agg.problem if aggregate else problem,
+                                  algorithm, **options)
+            rows = solution.allocation if aggregate \
+                else structure.reduce_rows(solution.allocation)
+            class_demand = structure.demands
+            loads, objective = solution.loads, solution.objective
+            if clients is not None:
                 self._teardown_event_plane()
                 self._coordinator = coord = ShardCoordinator(
                     agg.problem.data, tokens,
                     self.config.solver.sharding or ShardingConfig(n_shards=1),
-                    clients={name: (token, demand)
-                             for name, token, demand in members},
+                    clients={name: (tokens[k], demand) for name, k, demand
+                             in zip(clients, structure.class_of_client,
+                                    data.R.tolist())},
                     allocation=rows, recorder=self.recorder)
-                allocation = _client_rows(coord, members)
+                # The plane's own rows and demands, in request class order.
+                held, _, class_demand, rows = coord.class_snapshot()
+                at = {token: k for k, token in enumerate(held)}
+                order = [at[token] for token in tokens]
+                rows, class_demand = rows[order], class_demand[order]
                 loads, objective = coord.loads, coord.objective()
-                n_classes = agg.n_classes if aggregate else None
-                duals = structure.expand_mu(
-                    recover_mu(agg.problem, coord.rows_for(tokens)))
             return SolveResponse(
-                allocation=allocation.tolist(),
+                class_rows=rows.tolist(), class_demand=class_demand.tolist(),
+                class_of=structure.class_of_client.tolist(),
+                client_demands=data.R.tolist(),
                 objective=float(objective),
                 iterations=int(solution.iterations),
                 converged=bool(solution.converged),
                 loads=loads.tolist(),
-                duals=duals.tolist(),
+                class_duals=recover_mu(agg.problem, rows).tolist(),
                 method=solution.method,
                 solve_time_s=time.perf_counter() - t0,
                 warm_started=solution.warm_started,
-                n_classes=n_classes,
+                n_classes=agg.n_classes if aggregate else None,
                 clients=list(clients) if clients is not None else None,
             )
 
@@ -263,14 +243,18 @@ class InProcessControlPlane:
             reasons = Counter(r.fallback_reason for r in routed
                               if r.fallback_reason)
             coord.refresh_loads()
+            tokens, _, class_demand, rows = coord.class_snapshot()
+            at = {token: k for k, token in enumerate(tokens)}
             registry = sorted(coord.clients())
             return EventResponse(
                 applied=len(events), resolves=sum(reasons.values()),
                 sweeps=sum(r.sweeps for r in routed),
                 objective=float(coord.objective()),
+                class_rows=rows.tolist(), class_demand=class_demand.tolist(),
+                class_of=[at[token] for _, token, _ in registry],
+                client_demands=[demand for _, _, demand in registry],
                 loads=coord.loads.tolist(),
                 clients=[name for name, _, _ in registry],
-                allocation=_client_rows(coord, registry).tolist(),
                 fallback_reasons=dict(reasons),
             )
 

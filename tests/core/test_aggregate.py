@@ -109,8 +109,6 @@ class TestClassStructure:
         with pytest.raises(ValidationError):
             s.reduce_rows(np.zeros((4, 2)))
         with pytest.raises(ValidationError):
-            s.expand_mu(np.zeros(3))
-        with pytest.raises(ValidationError):
             ClassStructure.from_mask(np.ones((0, 2), dtype=bool), np.ones(0))
 
 

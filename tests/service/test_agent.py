@@ -2,10 +2,12 @@
 failure detector seen end-to-end, and clean shutdown."""
 
 import time
+import urllib.request
 
 import pytest
 
 from repro.edr.system import FaultConfig
+from repro.errors import ServiceError
 from repro.service import ReplicaAgent, ServiceConfig, connect, serve
 
 
@@ -122,3 +124,33 @@ class TestShutdown:
         assert agent.last_error is not None
         agent.stop()
         assert not agent.running
+
+    def test_agent_survives_connection_reset_mid_read(self, fast_server,
+                                                      monkeypatch):
+        def reset_mid_read(*_args, **_kwargs):
+            class Response:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *_exc):
+                    return False
+
+                def read(self, *_args):
+                    raise ConnectionResetError(104, "Connection reset by peer")
+
+            return Response()
+
+        agent = ReplicaAgent(fast_server.url, "r0").start()
+        try:
+            assert wait_until(lambda: agent.beats_sent >= 1)
+            monkeypatch.setattr(urllib.request, "urlopen", reset_mid_read)
+            assert wait_until(
+                lambda: isinstance(agent.last_error, ServiceError))
+            time.sleep(5 * agent.hb_interval)
+            assert agent.running
+            # Once the transport heals, the same thread beats again.
+            monkeypatch.undo()
+            sent = agent.beats_sent
+            assert wait_until(lambda: agent.beats_sent > sent)
+        finally:
+            agent.stop()

@@ -1,6 +1,7 @@
 """Wire-schema contract tests: round-trip identity, forward/backward
 compatibility, and version negotiation — over *every* registered model."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.edr.messages import (
     parse_message,
 )
 from repro.errors import VersionMismatchError, WireFormatError
+from tests.oracles.wire import to_json_plain
 
 #: One representative, fully-populated instance of every wire model.
 EXAMPLES = {
@@ -36,11 +38,13 @@ EXAMPLES = {
         algorithm="lddm", aggregate=True, clients=["a", "b"],
         options={"max_iter": 200}),
     "solve_response": SolveResponse(
-        allocation=[[10.0, 30.0, 0.0], [20.0, 20.0, 20.0]],
+        class_rows=[[10.0, 30.0, 0.0], [20.0, 20.0, 20.0]],
+        class_demand=[40.0, 60.0], class_of=[0, 1, 1],
+        client_demands=[40.0, 15.0, 45.0],
         objective=123.5, iterations=17, converged=True,
-        loads=[30.0, 50.0, 20.0], duals=[-1.0, -2.0], method="lddm",
+        loads=[30.0, 50.0, 20.0], class_duals=[-1.0, -2.0], method="lddm",
         solve_time_s=0.01, warm_started=False, n_classes=2,
-        clients=["a", "b"]),
+        clients=["a", "b", "c"]),
     "event": WireEvent(kind="arrival", client="c", demand=5.0,
                        eligibility=[True, False, True]),
     "event_request": EventRequest(events=[
@@ -51,8 +55,10 @@ EXAMPLES = {
     ]),
     "event_response": EventResponse(
         applied=3, resolves=1, sweeps=4, objective=99.0,
+        class_rows=[[5.0, 5.0, 0.0], [5.0, 15.0, 5.0], [0.0, 0.0, 0.0]],
+        class_demand=[10.0, 25.0, 0.0], class_of=[1, 0],
+        client_demands=[25.0, 10.0],
         loads=[10.0, 20.0, 5.0], clients=["a", "c"],
-        allocation=[[5.0, 5.0, 0.0], [5.0, 15.0, 5.0]],
         fallback_reasons={"drift": 1}),
     "membership_response": MembershipResponse(
         replicas=["r0", "r1"], live=["r0"],
@@ -68,6 +74,46 @@ EXAMPLES = {
                                       wire_version=WIRE_VERSION),
     "error_response": ErrorResponse(error="ValidationError",
                                     detail="bad demand", status=400),
+}
+
+
+#: EXAMPLES' numpy-valued twins: arrays, numpy scalars and nested models
+#: holding them, as a plane or a caller builds them in process.
+NUMPY_EXAMPLES = {
+    "solve_request": SolveRequest(
+        demands=np.array([40.0, 60.0]), prices=np.array([1.0, 8.0, 1.0]),
+        capacities=np.full(3, 100.0), alpha=np.float64(1.0),
+        beta=np.array([0.01, 0.02, 0.03]), gamma=np.int64(3),
+        mask=np.array([[True, True, False], [True, True, True]]),
+        clients=np.array(["a", "b"]), options={"max_iter": np.int64(200),
+                                               "tol": np.float32(0.5)}),
+    "solve_response": SolveResponse(
+        class_rows=np.array([[10.0, 30.0, 0.0], [20.0, 20.0, 20.0]]),
+        class_demand=np.array([40.0, 60.0]), class_of=np.array([0, 1, 1]),
+        client_demands=np.array([40.0, 15.0, 45.0]),
+        objective=np.float64(123.5), iterations=np.int64(17),
+        converged=np.bool_(True), loads=np.array([30.0, 50.0, 20.0]),
+        class_duals=np.array([-1.0, -2.0]), n_classes=np.int32(2),
+        clients=["a", "b", "c"]),
+    "event_request": EventRequest(events=[
+        WireEvent(kind="arrival", client="c", demand=np.float64(5.0),
+                  eligibility=np.array([True, False, True])),
+        WireEvent(kind="demand_change", client="a",
+                  demand=np.float32(45.25)),
+    ]),
+    "event_response": EventResponse(
+        applied=np.int64(3), resolves=0, sweeps=np.int64(4),
+        objective=np.float64(1.0) / 3.0,
+        class_rows=np.array([[5.0, 5.0, 0.0], [5.0, 15.0, 5.0]]),
+        class_demand=np.array([10.0, 25.0]), class_of=np.array([1, 0]),
+        client_demands=np.array([25.0, 10.0]),
+        loads=np.array([10.0, 20.0, 5.0]), clients=["a", "c"],
+        fallback_reasons={"drift": np.int64(1)}),
+    "membership_response": MembershipResponse(
+        replicas=["r0"], live=[], heartbeat_age_s={"r0": np.float64(0.1)},
+        hb_interval=np.float64(0.05)),
+    "health_response": HealthResponse(ok=np.bool_(True),
+                                      wire_version=np.int64(WIRE_VERSION)),
 }
 
 
@@ -114,6 +160,139 @@ class TestRoundTrip:
         parsed = parse_message(EXAMPLES[tag].to_json())
         assert type(parsed) is MODEL_TYPES[tag]
         assert parsed == EXAMPLES[tag]
+
+
+class TestOneEncoder:
+    """``to_json`` is one ``json.dumps`` with a ``default=`` hook; its text
+    is byte-identical to the per-element ``_plain`` walk it replaced."""
+
+    @pytest.mark.parametrize("tag", sorted(MODEL_TYPES))
+    def test_examples_encode_byte_identically(self, tag):
+        assert EXAMPLES[tag].to_json() == to_json_plain(EXAMPLES[tag])
+
+    @pytest.mark.parametrize("tag", sorted(NUMPY_EXAMPLES))
+    def test_numpy_values_encode_byte_identically(self, tag):
+        model = NUMPY_EXAMPLES[tag]
+        assert model.to_json() == to_json_plain(model)
+
+    @pytest.mark.parametrize("tag", sorted(NUMPY_EXAMPLES))
+    def test_to_dict_is_plain(self, tag):
+        payload = NUMPY_EXAMPLES[tag].to_dict()
+        assert payload == json.loads(to_json_plain(NUMPY_EXAMPLES[tag]))
+
+        def plain_types(value):
+            if isinstance(value, dict):
+                return all(type(k) is str and plain_types(v)
+                           for k, v in value.items())
+            if isinstance(value, list):
+                return all(plain_types(v) for v in value)
+            return value is None or type(value) in (bool, int, float, str)
+
+        assert plain_types(payload)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"raw"])
+    def test_unencodable_value_is_rejected(self, value):
+        with pytest.raises(WireFormatError, match="solve_request"):
+            SolveRequest(demands=[1.0], prices=[1.0],
+                         options={"x": value}).to_json()
+
+
+class TestClassSpaceResponses:
+    """Solve and event responses carry K class rows and a client -> class
+    index; ``allocation`` / ``duals`` are derived, never sent."""
+
+    def test_allocation_and_duals_are_derived(self):
+        resp = EXAMPLES["solve_response"]
+        # class 1 (demand 60) split 15 : 45 between clients b and c
+        assert resp.allocation == [[10.0, 30.0, 0.0], [5.0, 5.0, 5.0],
+                                   [15.0, 15.0, 15.0]]
+        assert resp.duals == [-1.0, -2.0, -2.0]
+        payload = json.loads(resp.to_json())
+        assert "allocation" not in payload and "duals" not in payload
+
+    def test_zero_demand_class_members_get_zero_rows(self):
+        resp = EventResponse(
+            applied=0, resolves=0, sweeps=0, objective=0.0,
+            class_rows=[[1.0, 2.0], [0.0, 0.0]], class_demand=[3.0, 0.0],
+            class_of=[1, 0, 1], client_demands=[0.0, 3.0, 0.0],
+            clients=["a", "b", "c"])
+        assert resp.allocation == [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]
+
+    def test_empty_registry_expands_to_no_rows(self):
+        resp = EventResponse(
+            applied=1, resolves=0, sweeps=0, objective=0.0,
+            class_rows=[[0.0, 0.0]], class_demand=[0.0], class_of=[],
+            client_demands=[], clients=[])
+        assert resp.allocation == []
+        assert EventResponse.from_json(resp.to_json()) == resp
+
+    @pytest.mark.parametrize("tag", ["solve_response", "event_response"])
+    def test_decoded_allocation_is_bit_exact(self, tag):
+        rng = np.random.default_rng(11)
+        sent = dataclasses.replace(
+            EXAMPLES[tag], class_rows=(rng.random((2, 3)) * 7).tolist(),
+            class_demand=(rng.random(2) * 3).tolist())
+        back = MODEL_TYPES[tag].from_json(sent.to_json())
+        assert back == sent
+        assert back.allocation == sent.allocation
+
+    #: Each tag's response as wire version 1 sent it: the C x N matrix.
+    V1_PAYLOADS = {
+        "solve_response": {
+            "v": 1, "type": "solve_response",
+            "allocation": [[10.0, 30.0], [20.0, 20.0]], "objective": 1.0,
+            "iterations": 3, "converged": True, "loads": [30.0, 50.0],
+            "duals": [-1.0, -2.0], "clients": ["a", "b"]},
+        "event_response": {
+            "v": 1, "type": "event_response", "applied": 0, "resolves": 0,
+            "sweeps": 0, "objective": 1.0, "loads": [30.0, 50.0],
+            "clients": ["a", "b"], "allocation": [[10.0, 30.0], [20.0, 20.0]],
+            "fallback_reasons": {}},
+    }
+
+    @pytest.mark.parametrize("tag", sorted(V1_PAYLOADS))
+    def test_v1_response_payload_is_rejected(self, tag):
+        with pytest.raises(VersionMismatchError) as exc:
+            MODEL_TYPES[tag].from_dict(dict(self.V1_PAYLOADS[tag]))
+        assert exc.value.got == 1
+        with pytest.raises(VersionMismatchError):
+            parse_message(json.dumps(self.V1_PAYLOADS[tag]))
+
+    @pytest.mark.parametrize("tag", sorted(V1_PAYLOADS))
+    def test_client_space_payload_at_v2_is_rejected(self, tag):
+        payload = dict(self.V1_PAYLOADS[tag], v=WIRE_VERSION)
+        with pytest.raises(WireFormatError, match="missing required"):
+            MODEL_TYPES[tag].from_dict(payload)
+
+    @pytest.mark.parametrize("tag", ["solve_response", "event_response"])
+    @pytest.mark.parametrize("bad, fragment", [
+        ({"class_of": [0, 2]}, "class_of entries"),
+        ({"class_of": [-1, 0]}, "class_of entries"),
+        ({"class_of": [0.0, 1.0]}, "class_of entries"),
+        ({"class_of": [True, False]}, "class_of entries"),
+        ({"client_demands": [1.0]}, "one entry per client"),
+        ({"class_demand": [1.0]}, "one row per class_demand"),
+        ({"class_rows": [[1.0, 2.0], [3.0]]}, None),
+        ({"clients": ["a"]}, "clients must name"),
+    ], ids=["index-past-K", "negative-index", "float-index", "bool-index",
+            "short-demands", "short-class-demand", "ragged-rows",
+            "short-clients"])
+    def test_malformed_class_space_is_rejected(self, tag, bad, fragment):
+        payload = EXAMPLES[tag].to_dict()
+        payload.update(class_rows=[[1.0, 2.0], [3.0, 4.0]],
+                       class_demand=[3.0, 7.0], class_of=[0, 1],
+                       client_demands=[3.0, 7.0], clients=["a", "b"])
+        if tag == "solve_response":
+            payload["class_duals"] = [-1.0, -2.0]
+        payload.update(bad)
+        with pytest.raises(WireFormatError, match=fragment):
+            MODEL_TYPES[tag].from_dict(payload)
+
+    def test_class_duals_need_one_entry_per_class(self):
+        payload = EXAMPLES["solve_response"].to_dict()
+        payload["class_duals"] = [-1.0, -2.0, -3.0]
+        with pytest.raises(WireFormatError, match="class_duals"):
+            SolveResponse.from_dict(payload)
 
 
 class TestValidation:

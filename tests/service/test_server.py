@@ -2,6 +2,7 @@
 in-process backend, error mapping, Prometheus exposition compliance, and
 the close() lifecycle."""
 
+import http.client
 import json
 import re
 import urllib.error
@@ -161,14 +162,14 @@ class TestErrorMapping:
     def test_client_raises_version_mismatch_on_426(self, server):
         client = EDRClient(server.url)
         payload = SolveRequest(demands=[1.0], prices=[1.0])
-        original = payload.to_dict
+        original = payload.to_json
 
         def newer():
-            d = original()
+            d = json.loads(original())
             d["v"] = WIRE_VERSION + 1
-            return d
+            return json.dumps(d)
 
-        payload.to_dict = newer
+        payload.to_json = newer
         with pytest.raises(VersionMismatchError):
             client.solve(payload)
 
@@ -176,6 +177,25 @@ class TestErrorMapping:
         client = EDRClient("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+    @pytest.mark.parametrize("error", [
+        ConnectionResetError(104, "Connection reset by peer"),
+        http.client.IncompleteRead(b"{", 10),
+        TimeoutError("timed out"),
+    ], ids=["reset", "incomplete-read", "timeout"])
+    def test_transport_failure_mid_read_raises_service_error(
+            self, server, monkeypatch, error):
+        real_urlopen = urllib.request.urlopen
+
+        def fail_mid_read(*args, **kwargs):
+            response = real_urlopen(*args, **kwargs)
+            response.read = lambda *_a: (_ for _ in ()).throw(error)
+            return response
+
+        monkeypatch.setattr(urllib.request, "urlopen", fail_mid_read)
+        with pytest.raises(ServiceError, match="cannot reach") as exc:
+            EDRClient(server.url).health()
+        assert exc.value.__cause__ is error
 
 
 #: Prometheus metric-name legality per the text exposition format.
