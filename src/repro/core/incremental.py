@@ -1,78 +1,51 @@
 """Incremental delta-event re-solve: O(K*N) updates instead of batch solves.
 
-The warm-start layer (:mod:`repro.core.warmstart`) projects a *full*
-solve across batches; this module takes the temporal-correlation exploit
-one step further for the event granularity the ROADMAP targets — a
-single client arriving, departing, or changing demand should cost
-microseconds to milliseconds, not a re-projected batch solve.  The same
-slowly-drifting-operating-point assumption grounds Adnan et al.'s
-dynamic deferral (arXiv:1204.2320) and Mathew et al.'s CDN energy
-balancing (arXiv:1109.5641): between events the converged allocation is
-*still optimal for every untouched row*, so only the affected
-eligibility class needs new work.
+Between events the converged allocation is *still optimal for every
+untouched row* — the slowly-drifting-operating-point assumption behind
+Adnan et al.'s dynamic deferral (arXiv:1204.2320) and Mathew et al.'s
+CDN energy balancing (arXiv:1109.5641) — so a client arriving, leaving
+or changing demand needs new work on its eligibility class only.
 
 :class:`IncrementalState` holds the converged class-space allocation
-``Q`` (one row per eligibility class, the representation
-:mod:`repro.core.aggregate` solves in), the column loads ``L = sum_k
-Q[k]``, and the recovered per-class multipliers.  An event maps to its
-class by the class's packed-mask token (the same tokens
-:attr:`~repro.core.aggregate.ClassStructure.keys` uses for warm-start
-cache rows), adjusts that class's demand, and re-solves *only that row*
-against the current column loads:
+``Q`` (one row per eligibility class, keyed by the packed-mask tokens of
+:attr:`~repro.core.aggregate.ClassStructure.keys`), the column loads
+``L = sum_k Q[k]`` and the client registry.  Every update is two steps:
+**record** (:meth:`~IncrementalState.record` an event,
+:meth:`~IncrementalState.record_target` a per-class target) writes the
+registry and class demands ``D``; **absorb**
+(:meth:`~IncrementalState.absorb`, the one tail every update shares)
+re-solves each class row whose demand moved against the other rows'
+loads:
 
     minimize  sum_n E_n(L_n^{-k} + p_n)
     s.t.      sum_n p_n = D_k,  0 <= p_n <= B_n - L_n^{-k},  p on mask_k
 
-where ``L^{-k}`` are the loads with row k removed.  The row subproblem
-has the same KKT structure as the batched LDDM column subproblem in
-:mod:`repro.core.kernels` — at the optimum every loaded column sits at a
-common marginal-cost water level ``t`` — and is solved the same way:
-one-dimensional bisection on ``t`` (scalar Python against cost
-constants hoisted at construction — the eligible column count is single
-digits, so numpy dispatch dominated here — terminating on a demand-sum
-tolerance far inside the KKT bound), with the marginal evaluated *at
-the current operating loads* rather than from zero.  Because one row's move shifts
-the marginals other rows see, a few Gauss–Seidel sweeps over all K rows
-follow until the cross-row KKT residual (most expensive loaded column vs
-cheapest column with headroom, per class) is below tolerance — K is
-single digits in practice, so a full sweep costs O(K*N) with tiny
-constants.
+At the optimum every loaded column sits at a common marginal-cost water
+level ``t``, bisected in scalar Python over cost constants hoisted at
+construction (the eligible column count is single digits, so numpy
+dispatch would dominate).  Gauss–Seidel sweeps over the rows whose
+cross-row KKT gap exceeds tolerance follow, since one row's move shifts
+the marginals the others see.
 
-The state *monitors its own validity* and requests a full (warm) solve
-instead of silently degrading.  Fallback triggers:
+The state declines instead of silently degrading — **capacity** (a
+class's demand does not fit its eligible headroom), **drift** (one
+absorb's |class-demand delta| exceeds ``drift_limit`` of the total the
+state was last certified at), **convergence** (the sweep budget ran
+out), **stale** (an earlier decline) — and a caller then solves in full.
+Multipliers are recovered as :func:`repro.core.warmstart.recover_mu`
+does, so that solve can warm-start from the state's rows.
 
-* **capacity** — a class's demand no longer fits the eligible headroom,
-  or refinement would need mass swaps through saturated columns;
-* **drift** — accumulated |demand delta| since the last full solve
-  exceeds ``drift_limit`` of the baseline total (the proxy for
-  accumulated objective gap);
-* **convergence** — the Gauss–Seidel sweeps did not reach the KKT
-  residual bound within the sweep budget.
-
-Membership changes and price rotations are detected by the runtime (the
-state is keyed to one (live replica set, price vector), exactly like a
-warm-start cache entry) and rebuild the state from the next full solve.
-
-Multipliers are recovered at the new operating point exactly as
-:func:`repro.core.warmstart.recover_mu` does — ``mu_k`` equals minus the
-cheapest eligible marginal at the current loads — so a fallback solve
-can warm-start from the incremental state's ``rows``/``mu``.
-
-A state can carry a *background* load vector — column load contributed
-by rows it does not own.  Marginals are evaluated at ``background +
-loads`` and headroom shrinks to ``B - background - loads``, which is
-exactly the subproblem a solve shard faces inside the sharded control
-plane (:mod:`repro.core.shard`): its classes best-respond to the loads
-of every other shard, held fixed for the round.  With the default
-all-zero background the arithmetic is bit-identical to the monolithic
-behaviour (``x - 0.0 == x`` for the finite nonnegative operands here).
+A *background* load vector — column load of rows other shards own —
+offsets every marginal and headroom: the subproblem a solve shard of
+:mod:`repro.core.shard` faces.  The default all-zero background is
+bit-identical to the monolithic behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,7 +54,7 @@ from repro.core.subproblem import _BISECT_ITERS
 from repro.errors import ValidationError
 
 __all__ = ["ClientArrival", "ClientDeparture", "DemandChange",
-           "EventResult", "IncrementalState"]
+           "EventResult", "IncrementalState", "check_event"]
 
 #: Relative share of a row below which an entry counts as unloaded when
 #: measuring the cross-row KKT residual.
@@ -114,17 +87,55 @@ class DemandChange:
     demand: float
 
 
+def check_event(
+        event: "ClientArrival | ClientDeparture | DemandChange",
+        registered: Callable[[str], tuple[bytes, float] | None],
+        n_replicas: int) -> tuple[bytes, float, float, np.ndarray | None]:
+    """Validate one event against its client's registration; write nothing.
+
+    ``registered`` maps a client name to its ``(token, demand)`` or
+    ``None``.  Returns ``(token, old, new, row)``: the client's class
+    token, its demand before and after the event (0 for an arrival's
+    before and a departure's after) and, for an arrival, its eligibility
+    row.  Raises :class:`~repro.errors.ValidationError` on an unknown
+    event type, a NaN/inf/negative demand, a duplicate or unknown
+    client, a wrong-length eligibility row, or positive demand with no
+    eligible replica.
+    """
+    if not isinstance(event, (ClientArrival, ClientDeparture, DemandChange)):
+        raise ValidationError(f"unknown event type {type(event).__name__}")
+    name = event.client
+    reg = registered(name)
+    new = 0.0 if isinstance(event, ClientDeparture) else float(event.demand)
+    if not 0.0 <= new < np.inf:
+        raise ValidationError(
+            f"demand must be finite and nonnegative, got {new}")
+    if not isinstance(event, ClientArrival):
+        if reg is None:
+            raise ValidationError(f"unknown client {name!r}")
+        return reg[0], reg[1], new, None
+    if reg is not None:
+        raise ValidationError(f"client {name!r} already registered")
+    row = np.asarray(event.eligibility, dtype=bool)
+    if row.shape != (n_replicas,):
+        raise ValidationError("eligibility row has wrong length")
+    if new > 0.0 and not row.any():
+        raise ValidationError(f"client {name!r} has positive demand but no "
+                              f"eligible replica")
+    return row.tobytes(), 0.0, new, row
+
+
 @dataclass(frozen=True)
 class EventResult:
-    """Outcome of one :meth:`IncrementalState.apply_event` (or retarget).
+    """Outcome of one :meth:`IncrementalState.absorb`.
 
     ``ok`` is False when the state declined the update and a full warm
     solve should run instead; ``reason`` then names the fallback trigger
     (``"capacity"``, ``"drift"``, ``"convergence"``, or ``"stale"``).
-    A declined :meth:`~IncrementalState.apply_event` has still recorded
-    the event (registry and class demand); only the rows are stale.
-    ``events`` counts the class-demand changes applied, ``sweeps`` the
-    Gauss–Seidel refinement sweeps the update needed.
+    A declined update has still been recorded (registry and class
+    demand); only the rows are stale.  ``events`` counts the
+    class-demand changes absorbed, ``sweeps`` the Gauss–Seidel
+    refinement sweeps the update needed.
     """
 
     ok: bool
@@ -188,7 +199,6 @@ class IncrementalState:
         self.kkt_rtol = float(kkt_rtol)
         self.max_sweeps = int(max_sweeps)
         self._baseline_total = max(float(self.D.sum()), 1e-9)
-        self._drift = 0.0
         self.stale = False
         self.events_applied = 0
         self.fallbacks = 0
@@ -492,142 +502,117 @@ class IncrementalState:
         return EventResult(ok=False, reason=reason)
 
     # -- the event API --------------------------------------------------------
-    def apply_event(
+    def record(
             self, event: "ClientArrival | ClientDeparture | DemandChange"
-    ) -> EventResult:
-        """Apply one client-granular event; O(sweeps * K * N).
+    ) -> tuple[int, float]:
+        """Write one event into the registry and its class's demand.
 
-        The event is always *recorded* first — the client registry and
-        its class's demand ``D[k]`` — and only then absorbed: the class
-        row is re-solved (plus refinement sweeps) unless the state is
-        stale or a drift/capacity/convergence guard trips.  So
-        ``ok=False`` means exactly one thing whatever the reason: the
-        registry and ``D`` include the event, the rows were not
-        re-solved, and the state is stale until a full solve at its own
-        ``D`` (:meth:`force_target` + rounds, or a rebuild) clears it.
-        An invalid event raises before anything is written.
+        Returns the class row and its demand before the event, what
+        :meth:`absorb` takes.  An invalid event (:func:`check_event`)
+        raises before anything is written.
         """
-        if not isinstance(event,
-                          (ClientArrival, ClientDeparture, DemandChange)):
-            raise ValidationError(
-                f"unknown event type {type(event).__name__}")
-        departs = isinstance(event, ClientDeparture)
-        reg = self._clients.get(event.client)
-        new = 0.0 if departs else float(event.demand)
-        if not 0.0 <= new < np.inf:
-            raise ValidationError("demand must be finite and nonnegative")
-        if isinstance(event, ClientArrival):
-            if reg is not None:
-                raise ValidationError(
-                    f"client {event.client!r} already registered")
-            row = np.asarray(event.eligibility, dtype=bool)
-            reg = (row.tobytes(), 0.0)
-            k = self._ensure_class(reg[0], row)
-        elif reg is None:
-            raise ValidationError(f"unknown client {event.client!r}")
-        else:
-            k = self._index[reg[0]]
-        token, old = reg
-        if departs:
+        token, old, new, row = check_event(event, self._clients.get,
+                                           self.n_replicas)
+        k = self._ensure_class(token, row)
+        before = float(self.D[k])
+        if isinstance(event, ClientDeparture):
             del self._clients[event.client]
         else:
             self._clients[event.client] = (token, new)
-        self.D[k] = max(float(self.D[k]) + new - old, 0.0)
-        if self.stale:
-            return EventResult(ok=False, reason="stale")
-        self._drift += abs(new - old)
-        if self._drift > self.drift_limit * self._baseline_total:
-            return self._fallback("drift")
-        if not self._rebalance_row(k):
-            return self._fallback("capacity")
-        converged, sweeps = self.refine()
-        if not converged:
-            return self._fallback("convergence")
-        self.events_applied += 1
-        return EventResult(ok=True, events=1, sweeps=sweeps)
+        self.D[k] = max(before + new - old, 0.0)
+        return k, before
 
-    def retarget(self, tokens: Sequence[bytes], masks: np.ndarray,
-                 demands: np.ndarray) -> EventResult:
-        """Move the state to a new per-class demand target in one call.
+    def record_target(self, tokens: Sequence[bytes], masks: np.ndarray,
+                      demands: np.ndarray) -> dict[int, float]:
+        """Write a per-class demand target; ``{row: demand before}``.
 
-        The runtime's chunk-to-chunk transition: ``tokens``/``masks``/
-        ``demands`` describe the next sub-batch's classes (a
-        :class:`~repro.core.aggregate.ClassStructure` row-for-row).
-        Classes absent from the target drain to zero; unseen classes are
-        added.  Only classes whose demand actually changed are re-solved,
-        so a single-client sub-batch touches one row.
+        ``tokens``/``masks``/``demands`` are row-aligned (a
+        :class:`~repro.core.aggregate.ClassStructure`).  Absent classes
+        drain to zero, unseen ones are added; only rows whose demand
+        changed are returned.  Allocation rows are not touched.
         """
-        if self.stale:
-            return EventResult(ok=False, reason="stale")
         masks = np.asarray(masks, dtype=bool)
         demands = np.asarray(demands, dtype=float)
         if masks.shape != (len(tokens), self.n_replicas) \
                 or demands.shape != (len(tokens),):
-            raise ValidationError("retarget shapes do not match tokens")
-        target = {t: float(demands[i]) for i, t in enumerate(tokens)}
+            raise ValidationError("target shapes do not match tokens")
+        if not np.all((demands >= 0.0) & (demands < np.inf)):
+            raise ValidationError(
+                "target demands must be finite and nonnegative")
         for i, t in enumerate(tokens):
             self._ensure_class(t, masks[i])
-        changed = [k for k, t in enumerate(self.tokens)
-                   if abs(target.get(t, 0.0) - float(self.D[k])) > 0.0]
+        target = dict(zip(tokens, demands.tolist()))
+        before: dict[int, float] = {}
+        for k, t in enumerate(self.tokens):
+            new = target.get(t, 0.0)
+            if new != self.D[k]:
+                before[k] = float(self.D[k])
+                self.D[k] = new
+        return before
+
+    def absorb(self, before: Mapping[int, float]) -> EventResult:
+        """Re-solve the rows whose demand moved off ``before`` (row -> D).
+
+        The one absorb every update shares.  A row whose demand ended
+        where it started costs nothing (an arrival and a departure in one
+        class cancel); the drift guard bounds the total move against the
+        demand last certified; shrinking rows drain first so growing ones
+        see the headroom; converged sweeps certify the KKT residual and
+        restart the drift baseline.  A decline leaves the recorded
+        demands and a stale state until :meth:`force_target`.
+        """
+        if self.stale:
+            return EventResult(ok=False, reason="stale")
+        changed = [k for k in sorted(before) if self.D[k] != before[k]]
         if not changed:
-            return EventResult(ok=True, events=0, sweeps=0)
-        delta = sum(abs(target.get(self.tokens[k], 0.0) - float(self.D[k]))
-                    for k in changed)
-        self._drift += delta
-        if self._drift > self.drift_limit * self._baseline_total:
+            return EventResult(ok=True)
+        delta = sum(abs(float(self.D[k]) - before[k]) for k in changed)
+        if delta > self.drift_limit * self._baseline_total:
             return self._fallback("drift")
-        # Drain shrinking classes first so growing ones see the headroom.
-        changed.sort(key=lambda k: target.get(self.tokens[k], 0.0)
-                     - float(self.D[k]))
+        changed.sort(key=lambda k: float(self.D[k]) - before[k])
         for k in changed:
-            self.D[k] = target.get(self.tokens[k], 0.0)
             if not self._rebalance_row(k):
                 return self._fallback("capacity")
         converged, sweeps = self.refine()
         if not converged:
             return self._fallback("convergence")
-        # A converged refine certifies the state is at the target's
-        # optimum (KKT residual within tolerance) — equivalent to a fresh
-        # full solve — so the drift baseline restarts here.  The guard
-        # above therefore bounds a *single* transition's magnitude; note
-        # an ordinary chunk turnover (old classes drain, new ones fill)
-        # costs about old+new total, so runtime callers need a limit
-        # budgeting for >= 1x turnover.
-        self._drift = 0.0
         self._baseline_total = max(float(self.D.sum()), 1e-9)
         self.events_applied += len(changed)
         return EventResult(ok=True, events=len(changed), sweeps=sweeps)
 
+    def apply_event(
+            self, event: "ClientArrival | ClientDeparture | DemandChange"
+    ) -> EventResult:
+        """One client event: :meth:`record`, then :meth:`absorb`.
+
+        So ``ok=False`` means one thing whatever the reason: the registry
+        and ``D`` include the event, the rows were not re-solved, the
+        state is stale.  An invalid event raises before anything is
+        written.
+        """
+        k, before = self.record(event)
+        return self.absorb({k: before})
+
+    def retarget(self, tokens: Sequence[bytes], masks: np.ndarray,
+                 demands: np.ndarray) -> EventResult:
+        """A chunk transition: :meth:`record_target`, then :meth:`absorb`.
+
+        A turnover (old classes drain, new ones fill) moves about old +
+        new total demand, so runtime callers need a ``drift_limit`` of at
+        least 1x turnover.
+        """
+        return self.absorb(self.record_target(tokens, masks, demands))
+
     def force_target(self, tokens: Sequence[bytes], masks: np.ndarray,
                      demands: np.ndarray) -> int:
-        """Adopt a demand target unconditionally, clearing fallback state.
+        """Record a demand target and clear fallback state; no re-solve.
 
-        The sharded coordinator's event recovery path: when a shard
-        declines an :meth:`apply_event` (capacity/drift/convergence), the
-        coordinator force-targets it at its own ``D`` and re-fills all
-        rows with full dual-price exchange rounds instead of tearing the
-        plane down.
-        Unlike :meth:`retarget` this does **not** re-solve anything —
-        rows may no longer sum to their demands afterwards, so the
-        caller must run a full rebalance pass (a shard solve round)
-        before reading the allocation.  Returns the number of class
-        demands that changed.
+        The coordinator's recovery: a declining shard is force-targeted
+        at its own ``D`` and exchange rounds re-fill its rows — which
+        may not sum to their demands until then.  Returns the number of
+        class demands that changed.
         """
-        masks = np.asarray(masks, dtype=bool)
-        demands = np.asarray(demands, dtype=float)
-        if masks.shape != (len(tokens), self.n_replicas) \
-                or demands.shape != (len(tokens),):
-            raise ValidationError("force_target shapes do not match tokens")
-        target = {t: float(demands[i]) for i, t in enumerate(tokens)}
-        for i, t in enumerate(tokens):
-            self._ensure_class(t, masks[i])
-        changed = 0
-        for k, t in enumerate(self.tokens):
-            new = max(target.get(t, 0.0), 0.0)
-            if new != float(self.D[k]):
-                changed += 1
-            self.D[k] = new
+        changed = len(self.record_target(tokens, masks, demands))
         self.stale = False
-        self._drift = 0.0
         self._baseline_total = max(float(self.D.sum()), 1e-9)
         return changed

@@ -1,62 +1,52 @@
 """Sharded dual-price control plane: coordinator over solve shards.
 
-The runtime's remaining monolith is the solve itself: even with class
-aggregation and incremental events, one ``EDRSystem`` re-touches the
-whole class space in lockstep.  This module splits the plane into
-independent :class:`~repro.core.shard.SolveShard`\\ s and reconciles the
-*shared* resource — replica capacity — with a small number of dual-price
-exchange rounds, the decomposition-by-prices structure Mathew et al.'s
-energy-aware CDN balancing (arXiv:1109.5641) exploits across clusters
-and Lučanin's geo-distributed pricing work (arXiv:1809.05853) uses
-across data centers.
+The plane splits the class space into independent
+:class:`~repro.core.shard.SolveShard`\\ s and reconciles the *shared*
+resource — replica capacity — with a few dual-price exchange rounds, the
+decomposition by prices Mathew et al.'s energy-aware CDN balancing
+(arXiv:1109.5641) exploits across clusters and Lučanin's geo-distributed
+pricing (arXiv:1809.05853) across data centers.
 
-The exchange protocol (one :meth:`ShardCoordinator.solve` round):
+One :meth:`ShardCoordinator.solve` round:
 
 1. the coordinator snapshots the aggregate column loads ``L`` and
-   broadcasts to shard ``s`` its *background* ``L - L_s`` — together
-   with the energy curve this fixes the marginal-price field
-   ``mu = E'(L)`` every shard prices against;
+   broadcasts to shard ``s`` its *background* ``L - L_s``, which with
+   the energy curve fixes the marginal-price field ``mu = E'(L)``;
 2. every shard best-responds simultaneously (Jacobi): a batched
-   water-fill of all its rows against the background
+   water-fill of its rows against the background
    (:func:`repro.core.kernels.waterfill_rows`), an intra-shard
    Gauss–Seidel polish, and damping against its previous rows;
-3. the coordinator gathers the new loads and re-evaluates the global
-   residual — the worst of relative capacity overshoot, cross-shard KKT
-   gap, and per-row demand shortfall — and stops when it is within
-   tolerance.
+3. the coordinator gathers the loads and stops once the global residual
+   — the worst of relative capacity overshoot, cross-shard KKT gap and
+   per-row demand shortfall — is within tolerance.
 
-Because each round's inputs are a single broadcast snapshot, the round
-outcome is independent of shard execution order: ``serial`` and
-``process`` modes are bit-identical (the process worker rebuilds the
-shard from its shipped geometry and runs the same code path).  Events
-route to exactly one shard (:meth:`ShardCoordinator.apply_event` /
-:meth:`ShardCoordinator.retarget`) and stay incremental inside it; full
-exchange rounds re-run only when the global residual drifts past the
-refresh threshold, so per-event cost is O(K_s * N) — independent of the
-client count and of the other shards.  A shard that declines a chunk
-retarget is reported, not repaired: the caller re-solves and re-arms.
+Each round's inputs are one broadcast snapshot, so ``serial`` and
+``process`` modes are bit-identical.  Client events enter through
+:meth:`ShardCoordinator.apply_events` — validated and certified feasible
+as a batch, recorded on their owning shards, absorbed once per touched
+shard — and chunk targets through :meth:`ShardCoordinator.retarget`;
+both absorb in the owning shard against the other shards' loads, O(K_s
+* N) independent of the client count, and run exchange rounds only when
+the residual drifts past the refresh threshold.  A declined event batch
+is recovered in place; a declined retarget is reported, and the caller
+re-solves and re-arms.
 
-The coordinator is a *long-lived* object: its executor — the persistent
-shared-memory worker fleet of :mod:`repro.core.shard_workers` — starts
-lazily on the first concurrent round and survives across solves and
-event storms until :meth:`ShardCoordinator.close` (also a context
-manager).  Shards are laid out in one place: an LPT partition of the
-class demands (:func:`~repro.core.shard.partition_classes`), each class
-carried with its allocation row and client registrations.  Construction
-lays out the instance it is given; :meth:`ShardCoordinator.rebalance`
-re-lays the plane from its own rows when per-shard demand skews past
-``rebalance_skew`` and the LPT layout repairs it, and
-:meth:`ShardCoordinator.resize` re-lays it onto another shard count.  A
-re-layout moves rows, not load — no allocation change, hence no
-residual change — and its decision reads class demands only, so it is
-identical across execution modes.
+The coordinator is *long-lived*: its process-mode worker fleet
+(:mod:`repro.core.shard_workers`) starts on the first concurrent round
+and lives until :meth:`ShardCoordinator.close`.  Shards are laid out in
+one place, an LPT partition of the class demands
+(:func:`~repro.core.shard.partition_classes`);
+:meth:`ShardCoordinator.rebalance` re-lays the plane from its own rows
+when per-shard demand skews past ``rebalance_skew`` and
+:meth:`ShardCoordinator.resize` onto another shard count.  A re-layout
+moves rows, not load, and its decision reads class demands only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +56,12 @@ from repro.core.incremental import (
     ClientArrival,
     ClientDeparture,
     DemandChange,
+    EventResult,
+    IncrementalState,
+    check_event,
 )
+from repro.core.params import ProblemData
+from repro.core.problem import ReplicaSelectionProblem
 from repro.core.shard import SolveShard, partition_classes
 from repro.core.shard_workers import ShardWorkerPool
 from repro.core.solution import Solution
@@ -77,6 +72,10 @@ __all__ = ["ShardingConfig", "CoordinatorResult", "RoutedResult",
            "ShardCoordinator", "solve_sharded"]
 
 _MODES = ("serial", "process")
+
+#: How far the plane's own rows may sit from feasible (relative) and
+#: still serve as the batch certificate's witness point.
+_WITNESS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,15 +139,15 @@ class CoordinatorResult:
 
 @dataclass(frozen=True)
 class RoutedResult:
-    """Outcome of a routed event or chunk retarget.
+    """Outcome of an event batch or chunk retarget.
 
     ``rounds`` counts the exchange rounds a residual-triggered refresh
-    (or an event's fallback recovery) ran — zero for the common
+    (or a batch's fallback recovery) ran — zero for the common
     absorbed-in-shard case.  ``fallback_reason`` names the shard's
-    decline: recovered in place by :meth:`ShardCoordinator.apply_event`,
+    decline: recovered in place by :meth:`ShardCoordinator.apply_events`,
     returned as ``ok=False`` by :meth:`ShardCoordinator.retarget`.
     ``migrations`` counts classes whose owning shard changed when the
-    skew check re-laid the plane while absorbing this event — rows move
+    skew check re-laid the plane while absorbing the update — rows move
     with their classes, so it is load-conserving.
     """
 
@@ -488,29 +487,6 @@ class ShardCoordinator:
         return pool.run_round(self.shards, bgs, damping)
 
     # -- event / chunk routing ------------------------------------------------
-    def _split_target(self, tokens: Sequence[bytes], masks: np.ndarray,
-                      demands: np.ndarray) -> list:
-        """Split a class target by owning shard; new tokens go lightest."""
-        per: list[tuple[list, list, list]] = \
-            [([], [], []) for _ in self.shards]
-        totals = [sh.demand() for sh in self.shards]
-        for i, t in enumerate(tokens):
-            s = self._token_shard.get(t)
-            if s is None:
-                s = self._lightest(totals)
-                self._token_shard[t] = s
-            totals[s] += float(demands[i])
-            per[s][0].append(t)
-            per[s][1].append(masks[i])
-            per[s][2].append(float(demands[i]))
-        out = []
-        for tk, mk, dm in per:
-            out.append((tk,
-                        np.asarray(mk, dtype=bool).reshape(
-                            len(tk), self.n_replicas),
-                        np.asarray(dm, dtype=float)))
-        return out
-
     @staticmethod
     def _lightest(totals: Sequence[float]) -> int:
         """Home of a new class: the lightest shard, ties to the lowest id."""
@@ -530,38 +506,53 @@ class ShardCoordinator:
         else:
             sh.touch_demands()
 
+    def _update(self, s: int, update: Callable[[IncrementalState],
+                                                EventResult]) -> EventResult:
+        """Shard ``s`` runs ``update`` priced against the other shards'
+        current loads; a decline is counted here."""
+        self.refresh_loads()
+        st = self.shards[s].state
+        st.set_background(self.background(s))
+        r = update(st)
+        if not r.ok:
+            self.fallbacks += 1
+            if self.recorder.enabled:
+                self.recorder.count("shard.fallback", reason=r.reason)
+        return r
+
     def retarget(self, tokens: Sequence[bytes], masks: np.ndarray,
                  demands: np.ndarray) -> RoutedResult:
         """Move the plane to a new per-class demand target (chunk turnover).
 
-        Each shard retargets its own slice incrementally against the
-        other shards' loads; classes a shard owns that are absent from
-        the target drain to zero inside that shard.  Full exchange
-        rounds run only if the resulting global residual exceeds the
-        refresh threshold.  A shard that declines (capacity, drift,
-        convergence, stale) is *not* repaired here: the call returns
-        ``ok=False`` with the shard's ``fallback_reason`` and the plane
-        is stale — the caller re-solves the target and arms a new plane
-        from that solution (``allocation=``).
+        Each shard retargets its slice (new classes go to the lightest
+        shard; classes it owns that are absent drain to zero):
+        :meth:`~repro.core.incremental.IncrementalState.record_target`,
+        then the absorb :meth:`apply_events` runs.  A
+        declining shard is *not* repaired: the call returns ``ok=False``
+        with its ``fallback_reason``, the plane is stale, and the caller
+        re-solves the target and arms a new plane (``allocation=``).
         """
         masks = np.asarray(masks, dtype=bool)
         demands = np.asarray(demands, dtype=float)
         if masks.shape != (len(tokens), self.n_replicas) \
                 or demands.shape != (len(tokens),):
             raise ValidationError("retarget shapes do not match tokens")
-        split = self._split_target(tokens, masks, demands)
-        events = 0
-        sweeps = 0
+        totals = [sh.demand() for sh in self.shards]
+        owner = np.zeros(len(tokens), dtype=int)
+        for i, t in enumerate(tokens):
+            s = self._token_shard.get(t)
+            if s is None:
+                s = self._token_shard[t] = self._lightest(totals)
+            totals[s] += float(demands[i])
+            owner[i] = s
+        events = sweeps = 0
         for s, sh in enumerate(self.shards):
-            self.refresh_loads()
-            sh.state.set_background(self.background(s))
+            idx = np.flatnonzero(owner == s)
             k0 = sh.state.n_classes
-            r = sh.state.retarget(*split[s])
+            r = self._update(s, lambda st: st.retarget(
+                [tokens[i] for i in idx], masks[idx], demands[idx]))
             self._touch_after(sh, k0)
             if not r.ok:
-                self.fallbacks += 1
-                if self.recorder.enabled:
-                    self.recorder.count("shard.fallback", reason=r.reason)
                 return RoutedResult(ok=False, fallback_reason=r.reason)
             events += r.events
             sweeps += r.sweeps
@@ -595,52 +586,127 @@ class ShardCoordinator:
     def apply_event(
             self, event: "ClientArrival | ClientDeparture | DemandChange"
     ) -> RoutedResult:
-        """Route one client event to its owning shard; O(K_s * N).
+        """One client event: :meth:`apply_events` on a batch of one."""
+        return self.apply_events([event])
 
-        Arrivals go to their class's shard (new classes to the lightest
-        shard); departures and demand changes follow the client's
-        registration.  The shard absorbs the event incrementally against
-        the other shards' loads.  An invalid event raises with the plane
-        unchanged: a new class is routed only once its shard has
-        recorded the event.  A decline has already recorded the event
-        (the state's one decline contract), so recovery is the same
-        whatever the reason: clear stale at the state's own ``D`` and
-        re-fill with exchange rounds — the plane never goes stale.
+    def apply_events(self, events: Sequence[
+            "ClientArrival | ClientDeparture | DemandChange"]) -> RoutedResult:
+        """The one way client events enter the plane; O(K_s * N) per shard.
+
+        1. **Validate** the batch against the registry plus what earlier
+           events in it did (``ValidationError("event <i>: ...")``);
+        2. **certify** the post-batch instance feasible
+           (``InfeasibleProblemError``) — both before anything is
+           written (:meth:`_check_batch`);
+        3. **Record** every event on its owning shard: arrivals go to
+           their class's shard (new classes to the lightest), departures
+           and demand changes follow the client's registration;
+        4. **Absorb** each touched shard's net class-demand change once
+           (:meth:`~repro.core.incremental.IncrementalState.absorb`),
+           shrinking shards first — an arrival and a departure in one
+           class cancel before any solve — then refresh only if the
+           residual drifted;
+        5. **Recover** a decline in place: the events are recorded, so
+           whatever the reason the shard is force-targeted at its own
+           ``D`` and exchange rounds re-fill every row.
         """
-        reg = self.registered(event.client)
-        if isinstance(event, ClientArrival):
-            if reg is not None:
-                raise ValidationError(
-                    f"client {event.client!r} already registered")
-            token = np.asarray(event.eligibility, dtype=bool).tobytes()
-        elif reg is None:
-            raise ValidationError(f"unknown client {event.client!r}")
-        else:
-            token = reg[0]
-        s = self._token_shard.get(token)
-        if s is None:
-            s = self._lightest([sh.demand() for sh in self.shards])
-        self.refresh_loads()
-        sh = self.shards[s]
-        st = sh.state
-        st.set_background(self.background(s))
-        k0 = st.n_classes
-        r = st.apply_event(event)
-        self._token_shard[token] = s
-        self._touch_after(sh, k0)
-        if r.ok:
+        events = list(events)
+        if not events:
+            return RoutedResult(ok=True)
+        tokens = self._check_batch(events)
+        # shard -> ({class row: demand before}, class count before)
+        touched: dict[int, tuple[dict[int, float], int]] = {}
+        for event, token in zip(events, tokens):
+            s = self._token_shard.get(token)
+            if s is None:
+                s = self._token_shard[token] = self._lightest(
+                    [sh.demand() for sh in self.shards])
+            st = self.shards[s].state
+            before, _ = touched.setdefault(s, ({}, st.n_classes))
+            k, d = st.record(event)
+            before.setdefault(k, d)
             if self.recorder.enabled:
                 self.recorder.count("shard.event", shard=s)
-            return self._maybe_refresh(r.events, r.sweeps)
-        self.fallbacks += 1
-        if self.recorder.enabled:
-            self.recorder.count("shard.fallback", reason=r.reason)
-        st.force_target(list(st.tokens), st.masks, st.D)
-        res = self.solve()
-        self.refreshes += 1
-        return RoutedResult(ok=True, events=1, sweeps=res.sweeps,
-                            rounds=res.rounds, refreshed=True,
-                            residual=res.residual, fallback_reason=r.reason)
+        growth = {}
+        for s, (before, n_before) in touched.items():
+            self._touch_after(self.shards[s], n_before)
+            D = self.shards[s].state.D
+            growth[s] = sum(float(D[k]) - d for k, d in before.items())
+        sweeps = 0
+        # Shrinking shards first, so growing ones see the freed headroom.
+        for s in sorted(touched, key=lambda s: (growth[s], s)):
+            r = self._update(s, lambda st: st.absorb(touched[s][0]))
+            if not r.ok:
+                st = self.shards[s].state
+                st.force_target(list(st.tokens), st.masks, st.D)
+                res = self.solve()
+                self.refreshes += 1
+                return RoutedResult(
+                    ok=True, events=len(events), sweeps=sweeps + res.sweeps,
+                    rounds=res.rounds, refreshed=True,
+                    residual=res.residual, fallback_reason=r.reason)
+            sweeps += r.sweeps
+        return self._maybe_refresh(len(events), sweeps)
+
+    def _check_batch(self, events: list) -> list[bytes]:
+        """Validate and certify a batch without writing; each event's token.
+
+        Every event is checked by :func:`~repro.core.incremental.
+        check_event` against the registry under an in-batch overlay
+        (``None`` marks a client the batch removed), which sums the net
+        demand change per class.  Certificate: if every class's increase
+        fits the free headroom ``B - L`` of its eligible columns (placed
+        greedily, most constrained class first) and the plane's own rows
+        are feasible, those rows — decreases scaled down, increases in
+        the free headroom — are a feasible point of the post-batch
+        instance.  Only otherwise does the exact bipartite max-flow
+        (:meth:`~repro.core.problem.ReplicaSelectionProblem.
+        require_feasible`) decide.
+        """
+        overlay: dict[str, tuple[bytes, float] | None] = {}
+        tokens: list[bytes] = []
+        delta: dict[bytes, float] = {}
+        arrivals: dict[bytes, np.ndarray] = {}
+        for i, event in enumerate(events):
+            try:
+                token, old, new, row = check_event(
+                    event, lambda c: overlay[c] if c in overlay
+                    else self.registered(c), self.n_replicas)
+            except ValidationError as exc:
+                raise ValidationError(f"event {i}: {exc}") from None
+            if row is not None:
+                arrivals.setdefault(token, row)
+            overlay[event.client] = None \
+                if isinstance(event, ClientDeparture) else (token, new)
+            delta[token] = delta.get(token, 0.0) + new - old
+            tokens.append(token)
+        held, masks, demands, rows = self.class_snapshot()
+        index = {t: k for k, t in enumerate(held)}
+        fresh = {t: row for t, row in arrivals.items() if t not in index}
+        loads = rows.sum(axis=0)
+        free = np.maximum(self.B - loads, 0.0)
+        fits = bool(np.all(loads <= self.B * (1.0 + _WITNESS_RTOL))) \
+            and bool(np.all(np.abs(rows.sum(axis=1) - demands)
+                            <= _WITNESS_RTOL * np.maximum(demands, 1.0)))
+        grow = [(fresh[t] if t in fresh else masks[index[t]], d)
+                for t, d in delta.items() if d > 0.0]
+        for mask, need in sorted(grow, key=lambda g: int(g[0].sum())):
+            for j in np.flatnonzero(mask):
+                take = min(need, float(free[j]))
+                free[j] -= take
+                need -= take
+            fits = fits and need <= 0.0
+        if not fits:
+            for t, d in delta.items():
+                if t in index:
+                    demands[index[t]] += d
+            ReplicaSelectionProblem(ProblemData(
+                demands=np.maximum(np.concatenate(
+                    [demands, [delta[t] for t in fresh]]), 0.0),
+                capacities=self.B, prices=self.u, alpha=self.alpha,
+                beta=self.beta, gamma=self.gamma,
+                mask=np.vstack([masks, *fresh.values()]))).require_feasible()
+        return tokens
 
     # -- membership -----------------------------------------------------------
     def fail_replica(self, index: int) -> None:

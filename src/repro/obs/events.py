@@ -22,8 +22,8 @@ Counters (aggregated in-recorder, exported once):
                             absorbed (no batch solve)
 ``incremental.fallback``    runtime chunks the event plane declined
                             (label ``reason``) -> batch solve + re-arm
-``shard.event``             client events absorbed inside one solve
-                            shard (label ``shard``)
+``shard.event``             client events recorded on one solve shard
+                            (label ``shard``)
 ``shard.fallback``          shard declines (label ``reason``): events
                             recover by force-target + exchange rounds,
                             chunk retargets report ``ok=False``

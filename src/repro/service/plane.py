@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -31,7 +30,6 @@ import numpy as np
 
 from repro.core.aggregate import aggregate_problem
 from repro.core.api import ALGORITHMS, _option_names, solve as core_solve
-from repro.core.incremental import ClientArrival, ClientDeparture
 from repro.core.params import PAPER_ALPHA, PAPER_BANDWIDTH, PAPER_BETA, \
     PAPER_GAMMA, ProblemData
 from repro.core.problem import ReplicaSelectionProblem
@@ -224,12 +222,12 @@ class InProcessControlPlane:
 
     # -- events --------------------------------------------------------------
     def events(self, request: EventRequest) -> EventResponse:
-        """Apply a churn batch to the armed event plane, in order.
+        """Apply a churn batch to the armed event plane.
 
-        Validate-then-apply: the whole batch is checked against the
-        registry (plus what earlier events in the batch did to it) and
-        the post-batch instance against capacity before anything is
-        applied, so a rejected batch leaves the plane unchanged.
+        One :meth:`ShardCoordinator.apply_events` call: the whole batch
+        is validated and its post-batch instance certified before
+        anything is applied, so a rejected batch leaves the plane
+        unchanged; an accepted one is absorbed once per touched shard.
         """
         with self._serving("events"):
             coord = self._coordinator
@@ -237,73 +235,23 @@ class InProcessControlPlane:
                 raise ValidationError("no event plane armed; POST /v1/solve "
                                       "with clients first")
             events = [wire_event.to_core() for wire_event in request.events]
-            if events:
-                self._validate_batch(coord, events)
-            routed = [coord.apply_event(event) for event in events]
-            reasons = Counter(r.fallback_reason for r in routed
-                              if r.fallback_reason)
+            routed = coord.apply_events(events)
+            reason = routed.fallback_reason
             coord.refresh_loads()
             tokens, _, class_demand, rows = coord.class_snapshot()
             at = {token: k for k, token in enumerate(tokens)}
             registry = sorted(coord.clients())
             return EventResponse(
-                applied=len(events), resolves=sum(reasons.values()),
-                sweeps=sum(r.sweeps for r in routed),
+                applied=len(events), resolves=int(reason is not None),
+                sweeps=routed.sweeps,
                 objective=float(coord.objective()),
                 class_rows=rows.tolist(), class_demand=class_demand.tolist(),
                 class_of=[at[token] for _, token, _ in registry],
                 client_demands=[demand for _, _, demand in registry],
                 loads=coord.loads.tolist(),
                 clients=[name for name, _, _ in registry],
-                fallback_reasons=dict(reasons),
+                fallback_reasons={reason: 1} if reason else {},
             )
-
-    @staticmethod
-    def _validate_batch(coord: ShardCoordinator, events: list) -> None:
-        """Reject a bad batch whole, naming the offending event's index.
-
-        Walks the batch against ``coord``'s registry under an in-batch
-        overlay (``None`` marks a client the batch already removed),
-        then certifies the post-batch class instance feasible.
-        """
-        def bad(i: int, what: str) -> ValidationError:
-            return ValidationError(f"event {i}: {what}")
-
-        tokens, masks, demands, _ = coord.class_snapshot()
-        index = {t: k for k, t in enumerate(tokens)}
-        masks, demands = list(masks), list(demands)
-        overlay: dict[str, tuple[bytes, float] | None] = {}
-        for i, event in enumerate(events):
-            name, departs = event.client, isinstance(event, ClientDeparture)
-            reg = overlay.get(name, coord.registered(name))
-            new = 0.0 if departs else float(event.demand)
-            if not 0.0 <= new < np.inf:
-                raise bad(i, f"demand must be finite and nonnegative, "
-                             f"got {new}")
-            if isinstance(event, ClientArrival):
-                row = np.asarray(event.eligibility, dtype=bool)
-                if reg is not None:
-                    raise bad(i, f"client {name!r} already registered")
-                if row.shape != (coord.n_replicas,):
-                    raise bad(i, "eligibility row has wrong length")
-                if new > 0.0 and not row.any():
-                    raise bad(i, f"client {name!r} has positive demand but "
-                                 f"no eligible replica")
-                reg = (row.tobytes(), 0.0)
-                if reg[0] not in index:
-                    index[reg[0]] = len(masks)
-                    masks.append(row)
-                    demands.append(0.0)
-            elif reg is None:
-                raise bad(i, f"unknown client {name!r}")
-            token, old = reg
-            overlay[name] = None if departs else (token, new)
-            demands[index[token]] += new - old
-        ReplicaSelectionProblem(ProblemData(
-            demands=np.maximum(demands, 0.0), capacities=coord.B,
-            prices=coord.u, alpha=coord.alpha, beta=coord.beta,
-            gamma=coord.gamma, mask=np.asarray(masks)
-        )).require_feasible()
 
     # -- membership ----------------------------------------------------------
     def register(self, request: RegisterRequest) -> RegisterResponse:

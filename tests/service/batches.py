@@ -67,4 +67,9 @@ BAD_BATCHES = {
     "over-eligible-capacity": ([arrival("d", 150.0, elig=(0, 1, 0, 0))],
                                "InfeasibleProblemError",
                                "exceeds reachable capacity"),
+    # 10 + 60 + 30 + 301 = 401 MB on 400 MB/s: the freed 30 MB does not
+    # make room for the arrival.
+    "just-over-capacity": ([change("a", 10.0), arrival("d", 301.0)],
+                           "InfeasibleProblemError",
+                           "exceeds reachable capacity"),
 }

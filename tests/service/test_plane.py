@@ -173,7 +173,9 @@ class TestEvents:
         assert resp.clients == sorted(registry)
         assert max(resp.loads) <= 100.0 + 1e-6
         if always_recovers:
-            assert resp.resolves == resp.applied
+            # One batch, one absorb: its decline is recovered once.
+            assert resp.resolves == 1
+            assert resp.fallback_reasons == {"drift": 1}
         # The plane ends at the optimum of the registry it reports.
         ref = solve_reference(ReplicaSelectionProblem(
             ProblemData.paper_defaults(
