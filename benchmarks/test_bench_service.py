@@ -13,7 +13,10 @@ external orchestrator produces.  Gates:
   deterministic under the fixed seed, not a timing);
 * batch absorb: one 100-event POST is absorbed once per touched shard,
   so the Gauss–Seidel sweeps it reports stay a small count (again a
-  deterministic count, not a timing).
+  deterministic count, not a timing);
+* arming solve: the default ``/v1/solve`` is the certified water-fill
+  sweep, certified after one round — a count, so a return to LDDM's
+  hundreds of iterations, or an escalation on this easy instance, fails.
 """
 
 import time
@@ -54,6 +57,12 @@ MAX_EVENT_RESPONSE_BYTES = 80_000
 #: then 0 refinement sweeps; absorbing the same batch event by event
 #: reported 22, so a return to per-event absorbs fails here.
 MAX_BATCH_SWEEPS = 5
+
+#: Ceiling on the iterations the arming ``/v1/solve`` reports.  The
+#: water-fill sweep certifies this instance after 1 round; LDDM, the
+#: default before it, took hundreds, and an escalation adds LDDM's
+#: iterations to the rounds.
+MAX_SOLVE_ITERATIONS = 3
 
 
 def _build_request(rng) -> SolveRequest:
@@ -152,7 +161,8 @@ def test_bench_service_load(benchmark, report_sink):
         f"  clients={N_CLIENTS} replicas={N_REPLICAS} "
         f"events={len(events)} batch={BATCH}",
         f"  solve: {solve_s * 1000:.1f} ms end-to-end "
-        f"(solver {via_http.solve_time_s * 1000:.1f} ms)",
+        f"(solver {via_http.solve_time_s * 1000:.1f} ms, "
+        f"{via_http.method}, {via_http.iterations} iterations)",
         f"  events: {batch_rps:.1f} batches/s, {event_ms:.2f} ms/event",
         f"  parity vs in-process: {gap:.1e}",
         f"  single-event response: {event_bytes} bytes "
@@ -161,6 +171,8 @@ def test_bench_service_load(benchmark, report_sink):
     ]
     report_sink("service_load", "\n".join(lines))
 
+    assert via_http.method == "waterfill"
+    assert via_http.iterations <= MAX_SOLVE_ITERATIONS
     assert event_bytes <= MAX_EVENT_RESPONSE_BYTES
     assert batch_sweeps <= MAX_BATCH_SWEEPS
     assert batch_rps >= MIN_BATCH_RPS

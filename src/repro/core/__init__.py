@@ -12,8 +12,9 @@ Quick start::
     print(solution.allocation, solution.objective)
 
 :func:`solve` dispatches to any algorithm (``"lddm"``, ``"cdpsm"``,
-``"reference"``) with one keyword-only option set (``aggregate=``,
-``warm_start=``, ``mu0=``, ``recorder=``, plus solver options); the
+``"waterfill"``, ``"reference"``) with one keyword-only option set
+(``aggregate=``, ``warm_start=``, ``mu0=``, ``recorder=``, plus solver
+options); the
 per-algorithm helpers ``solve_lddm`` / ``solve_cdpsm`` /
 ``solve_reference`` are thin wrappers with the same names.
 """
@@ -51,6 +52,8 @@ from repro.core.cdpsm import CdpsmSolver, solve_cdpsm
 from repro.core.lddm import LddmSolver, solve_lddm
 from repro.core.reference import solve_reference
 from repro.core.api import ALGORITHMS, solve
+from repro.core.certify import Certificate, certify
+from repro.core.waterfill import WaterfillSolver
 from repro.core.warmstart import (
     AdaptiveBudget,
     WarmStartCache,
@@ -103,6 +106,9 @@ __all__ = [
     "solve_reference",
     "solve",
     "ALGORITHMS",
+    "Certificate",
+    "certify",
+    "WaterfillSolver",
     "AdaptiveBudget",
     "WarmStartCache",
     "WarmStartEntry",

@@ -261,7 +261,8 @@ def solve_aggregated(problem: ReplicaSelectionProblem, method: str = "lddm",
                      recorder: Recorder | None = None, **kwargs) -> Solution:
     """Solve ``problem`` in class space and disaggregate exactly.
 
-    ``method`` is ``"lddm"`` or ``"cdpsm"``; ``kwargs`` go to the solver.
+    ``method`` is ``"lddm"``, ``"cdpsm"`` or ``"waterfill"``; ``kwargs``
+    go to the solver.
     ``initial`` (and, for LDDM, ``mu0``) warm-start the reduced solve and
     must therefore be *class-space* arrays — (K, N) / (K,).  The
     per-iteration cost is O(K*N) regardless of the client count.  The
@@ -274,8 +275,10 @@ def solve_aggregated(problem: ReplicaSelectionProblem, method: str = "lddm",
 
     from repro.core.cdpsm import CdpsmSolver
     from repro.core.lddm import LddmSolver
+    from repro.core.waterfill import WaterfillSolver
 
-    solvers = {"lddm": LddmSolver, "cdpsm": CdpsmSolver}
+    solvers = {"lddm": LddmSolver, "cdpsm": CdpsmSolver,
+               "waterfill": WaterfillSolver}
     if method not in solvers:
         raise ValidationError(f"unknown aggregated solver {method!r}")
     if mu0 is not None and method != "lddm":

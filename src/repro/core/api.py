@@ -20,12 +20,13 @@ from repro.core.cdpsm import CdpsmSolver
 from repro.core.lddm import LddmSolver
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.solution import Solution
+from repro.core.waterfill import WaterfillSolver
 from repro.errors import ValidationError
 
 __all__ = ["solve", "ALGORITHMS"]
 
 #: Algorithms the facade dispatches to.
-ALGORITHMS = ("lddm", "cdpsm", "reference")
+ALGORITHMS = ("lddm", "cdpsm", "reference", "waterfill")
 
 
 def _option_names(algorithm: str) -> frozenset[str]:
@@ -39,7 +40,8 @@ def _option_names(algorithm: str) -> frozenset[str]:
     if algorithm == "reference":
         from repro.core.reference import solve_reference as target
     else:
-        target = {"lddm": LddmSolver, "cdpsm": CdpsmSolver}[algorithm]
+        target = {"lddm": LddmSolver, "cdpsm": CdpsmSolver,
+                  "waterfill": WaterfillSolver}[algorithm]
     return frozenset(inspect.signature(target).parameters) \
         - {"problem", "warm_start", "recorder"}
 
@@ -54,10 +56,12 @@ def solve(problem: ReplicaSelectionProblem, algorithm: str = "lddm", *,
     ----------
     problem: the instance to solve.
     algorithm: ``"lddm"`` (the paper's Algorithm 2, default), ``"cdpsm"``
-        (Algorithm 1), or ``"reference"`` (the centralized scipy optimum).
+        (Algorithm 1), ``"waterfill"`` (the control plane's certified
+        water-fill sweep, :mod:`repro.core.waterfill`), or
+        ``"reference"`` (the centralized scipy optimum).
     aggregate: solve the exact eligibility-class reduction (O(K*N) per
-        iteration; see :mod:`repro.core.aggregate`).  Distributed
-        algorithms only.
+        iteration; see :mod:`repro.core.aggregate`).  Not for the
+        reference solver.
     warm_start: optional initial allocation.  Problem-shaped (C, N) for
         direct solves, class-space (K, N) when ``aggregate=True``.
     mu0: optional initial dual multipliers (LDDM only; one per solved
@@ -65,7 +69,8 @@ def solve(problem: ReplicaSelectionProblem, algorithm: str = "lddm", *,
     recorder: optional :class:`~repro.obs.Recorder` capturing
         per-iteration samples and the final solve event.
     options: forwarded to the solver (``max_iter``, ``tol``, ``step``,
-        ...; ``tol``/``max_iter`` for the reference solver).
+        ...; ``tol``/``max_iter`` for the reference and water-fill
+        solvers, where water-fill's ``tol`` is the certificate's gap).
 
     The dispatch adds nothing numerically: ``solve(p, "lddm", **o)``
     computes bit-identical output to ``LddmSolver(p, **o).solve()``.
@@ -90,5 +95,6 @@ def solve(problem: ReplicaSelectionProblem, algorithm: str = "lddm", *,
     if algorithm == "lddm":
         solver = LddmSolver(problem, recorder=recorder, **options)
         return solver.solve(warm_start, mu0=mu0)
-    solver = CdpsmSolver(problem, recorder=recorder, **options)
+    solvers = {"cdpsm": CdpsmSolver, "waterfill": WaterfillSolver}
+    solver = solvers[algorithm](problem, recorder=recorder, **options)
     return solver.solve(warm_start)

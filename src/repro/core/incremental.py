@@ -60,6 +60,10 @@ __all__ = ["ClientArrival", "ClientDeparture", "DemandChange",
 #: measuring the cross-row KKT residual.
 _ACTIVE_EPS = 1e-12
 
+#: A class demand within this many ulps (relative to the larger term of
+#: its update) of zero is rounding left by a cancelling update.
+_CANCEL_EPS = 4.0 * float(np.finfo(float).eps)
+
 
 # -- events -------------------------------------------------------------------
 
@@ -391,6 +395,18 @@ class IncrementalState:
                 x = 0.0 if x < 0.0 else (x if x < h[i] else h[i])
             p[i] = x
             S += x
+        # A constant-marginal column whose level the bracket straddles
+        # sits at the water level: the overshoot comes off it alone —
+        # scaling every column down would push load off the cheaper,
+        # full ones.
+        step = [i for i in range(nc) if constf[idx[i]] and p[i] > 0.0
+                and lo < levelf[idx[i]] <= hi]
+        if step and S > D:
+            room = sum(p[i] for i in step)
+            cut = min(S - D, room)
+            for i in step:
+                p[i] -= cut * p[i] / room
+            S = sum(p)
         if S <= 0.0:  # numerical corner: demand fits but level collapsed
             scale = D / total_head
             p = [hj * scale for hj in h]
@@ -519,7 +535,10 @@ class IncrementalState:
             del self._clients[event.client]
         else:
             self._clients[event.client] = (token, new)
-        self.D[k] = max(before + new - old, 0.0)
+        # What cancels below the terms' rounding is noise, not demand: a
+        # class whose clients all left or went to zero holds exactly 0.
+        D = before + new - old
+        self.D[k] = D if D > _CANCEL_EPS * max(before, old) else 0.0
         return k, before
 
     def record_target(self, tokens: Sequence[bytes], masks: np.ndarray,

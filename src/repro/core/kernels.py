@@ -428,6 +428,19 @@ def waterfill_rows(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     P = fill(hi)
     S = P.sum(axis=1)
 
+    # A constant-marginal column whose level a row's bracket straddles
+    # sits at the water level: the overshoot comes off it alone, as in
+    # the scalar path.
+    step = const[None, :] & (level[None, :] > lo[:, None]) \
+        & (level[None, :] <= hi[:, None]) & (P > 0.0)
+    cut_rows = np.flatnonzero(pos & fits & step.any(axis=1) & (S > D))
+    if cut_rows.size:
+        on = step[cut_rows]
+        room = np.where(on, P[cut_rows], 0.0).sum(axis=1)
+        cut = np.minimum(S[cut_rows] - D[cut_rows], room) / room
+        P[cut_rows] -= np.where(on, P[cut_rows] * cut[:, None], 0.0)
+        S[cut_rows] = P[cut_rows].sum(axis=1)
+
     # Scaling down (fill(hi) >= D) lands exactly on the demand while
     # staying inside every column's headroom; a collapsed level (S == 0)
     # falls back to a proportional spread, the scalar corner case.

@@ -7,10 +7,13 @@ rows of the allocation and its own :class:`~repro.core.incremental.
 IncrementalState` (carrying the slice's drift/fallback accounting and
 client registry) — and best-responds to the
 *background*: the column loads every other shard contributes, held fixed
-for one exchange round.  The coordinator that broadcasts backgrounds and
-declares convergence lives in :mod:`repro.edr.coordinator`; this module
-is deliberately runtime-free so the shard math can be tested and
-process-shipped on its own.
+for one exchange round.  The coordinator that broadcasts backgrounds
+lives in :mod:`repro.edr.coordinator`; the residual it declares
+convergence on and the round loop (:func:`plane_residual`,
+:func:`exchange_rounds`) live here, shared with the one-shard water-fill
+solve (:mod:`repro.core.waterfill`).  This module is deliberately
+runtime-free so the shard math can be tested and process-shipped on its
+own.
 
 A solve round is Jacobi with an inner Gauss–Seidel polish:
 
@@ -43,8 +46,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from time import perf_counter
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +56,8 @@ from repro.core.incremental import IncrementalState
 from repro.core.kernels import waterfill_rows
 from repro.errors import ValidationError
 
-__all__ = ["ShardRound", "SolveShard", "partition_classes"]
+__all__ = ["Exchange", "ShardRound", "SolveShard", "exchange_rounds",
+           "partition_classes", "plane_residual"]
 
 #: Monotone shard-geometry version source.  Versions are unique across
 #: every shard ever built in the process, so a worker-side cache keyed
@@ -64,6 +69,76 @@ _VERSION_COUNTER = itertools.count(1)
 #: its sweep cap per refine.  Nothing tunes either per plane.
 _KKT_RTOL = 1e-9
 _MAX_SWEEPS = 64
+
+
+def plane_residual(shards: Sequence[SolveShard], loads: np.ndarray,
+                   capacities: np.ndarray,
+                   background: Callable[[int], np.ndarray]) -> float:
+    """The exchange rounds' convergence residual (relative, 0 = converged).
+
+    The worst of: capacity overshoot of the aggregate ``loads`` relative
+    to each column's capacity, every non-empty shard's KKT gap against
+    ``background(shard_id)``, and its per-row demand shortfall.
+    """
+    over = (loads - capacities) / np.maximum(capacities, 1e-9)
+    resid = float(np.max(over, initial=0.0))
+    for sh in shards:
+        if sh.n_rows:
+            resid = max(resid, sh.kkt_gap(background(sh.shard_id)),
+                        sh.demand_error())
+    return max(resid, 0.0)
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """Outcome of :func:`exchange_rounds`: rounds run, the shards' inner
+    sweeps, the final residual and the residual after each round."""
+
+    rounds: int
+    sweeps: int
+    residual: float
+    history: list[float]
+
+
+def exchange_rounds(step: Callable[[float], Sequence[ShardRound]],
+                    residual: Callable[[], float], *, tol: float,
+                    max_rounds: int, damping: float,
+                    on_stall: Callable[[float], float | None],
+                    on_round: Callable[[Sequence[ShardRound], float, float],
+                                       None] | None = None) -> Exchange:
+    """Solve rounds until the residual is within ``tol``.
+
+    ``step(damping)`` runs one round and returns its shards'
+    :class:`ShardRound`\\ s; ``residual()`` measures the plane after it
+    (:func:`plane_residual`).  A round *contracts* when its residual is
+    within 0.9 of the best seen so far; three rounds in a row that do
+    not are a stall, and ``on_stall(damping)`` returns the next rounds'
+    damping — or ``None`` to stop there.  ``on_round(results, residual,
+    wall_s)`` sees every round.  At most ``max_rounds`` rounds run.
+    """
+    resid = residual()
+    best = resid
+    misses = rounds = sweeps = 0
+    history: list[float] = []
+    while resid > tol and rounds < max_rounds:
+        r0 = perf_counter()
+        results = step(damping)
+        wall = perf_counter() - r0
+        rounds += 1
+        sweeps += sum(r.sweeps for r in results)
+        resid = residual()
+        history.append(resid)
+        if on_round is not None:
+            on_round(results, resid, wall)
+        misses = 0 if resid <= 0.9 * best else misses + 1
+        best = min(best, resid)
+        if misses >= 3:
+            misses = 0
+            nxt = on_stall(damping)
+            if nxt is None:
+                break
+            damping = nxt
+    return Exchange(rounds, sweeps, resid, history)
 
 
 def partition_classes(demands: np.ndarray, n_shards: int) -> np.ndarray:

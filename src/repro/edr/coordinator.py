@@ -44,6 +44,7 @@ moves rows, not load, and its decision reads class demands only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
@@ -51,7 +52,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core import model
-from repro.core.aggregate import aggregate_problem, solve_aggregated
+from repro.core.aggregate import aggregate_problem
+from repro.core.api import solve as core_solve
+from repro.core.certify import certify
 from repro.core.incremental import (
     ClientArrival,
     ClientDeparture,
@@ -62,7 +65,12 @@ from repro.core.incremental import (
 )
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
-from repro.core.shard import SolveShard, partition_classes
+from repro.core.shard import (
+    SolveShard,
+    exchange_rounds,
+    partition_classes,
+    plane_residual,
+)
 from repro.core.shard_workers import ShardWorkerPool
 from repro.core.solution import Solution
 from repro.errors import InfeasibleProblemError, ValidationError
@@ -76,6 +84,10 @@ _MODES = ("serial", "process")
 #: How far the plane's own rows may sit from feasible (relative) and
 #: still serve as the batch certificate's witness point.
 _WITNESS_RTOL = 1e-12
+
+#: The relative dual-bound gap exchange rounds must certify to
+#: (:meth:`ShardCoordinator._settle`).
+_CERTIFY_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,7 @@ class ShardCoordinator:
                       clients or {})
         self.rounds_total = 0
         self.refreshes = 0
+        self.resolves = 0
         self.fallbacks = 0
         self.events_applied = 0
         self.migrations = 0
@@ -390,13 +403,8 @@ class ShardCoordinator:
         current background), and per-row demand shortfall.
         """
         self.refresh_loads()
-        over = (self.loads - self.B) / np.maximum(self.B, 1e-9)
-        resid = float(np.max(over, initial=0.0))
-        for sh in self.shards:
-            if sh.n_rows:
-                resid = max(resid, sh.kkt_gap(self.background(sh.shard_id)),
-                            sh.demand_error())
-        return max(resid, 0.0)
+        return plane_residual(self.shards, self.loads, self.B,
+                              self.background)
 
     # -- exchange rounds ------------------------------------------------------
     def solve(self, *, max_rounds: int | None = None,
@@ -406,53 +414,41 @@ class ShardCoordinator:
         max_rounds = cfg.max_rounds if max_rounds is None else int(max_rounds)
         tol = cfg.tol if tol is None else float(tol)
         t0 = perf_counter()
-        rounds = 0
-        sweeps = 0
-        resid = self.residual()
-        # Adaptive damping: a fixed factor can stall in a small limit
-        # cycle (simultaneous best responses overshooting each other);
-        # when the residual stops contracting for a few rounds, halve
-        # the damping.  The decision uses only the gathered residual,
-        # so it is identical across execution modes.
-        damping = cfg.damping
-        best = resid
-        stall = 0
         pool = None
         if len(self.shards) > 1 and cfg.mode == "process":
             if self._pool is None:
                 self._pool = ShardWorkerPool(max_workers=cfg.max_workers)
             pool = self._pool
-        while resid > tol and rounds < max_rounds:
-            r0 = perf_counter()
-            results = self._run_round(pool, damping)
-            round_wall = perf_counter() - r0
-            rounds += 1
+
+        def traced(results: list, resid: float, round_wall: float) -> None:
             self.rounds_total += 1
-            sweeps += sum(r.sweeps for r in results)
-            resid = self.residual()
-            if resid <= 0.9 * best:
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 3:
-                    damping = max(0.5 * damping, 0.05)
-                    stall = 0
-            best = min(best, resid)
-            if self.recorder.enabled:
+            if not self.recorder.enabled:
+                return
+            self.recorder.event(
+                "coordinator.round", round=self.rounds_total,
+                residual=resid, n_shards=self.n_shards, wall_s=round_wall)
+            self.recorder.sample("coordinator.residual", resid)
+            total_demand = sum(sh.demand() for sh in self.shards)
+            for r in results:
+                sh = self.shards[r.shard]
                 self.recorder.event(
-                    "coordinator.round", round=self.rounds_total,
-                    residual=resid, n_shards=self.n_shards,
-                    wall_s=round_wall)
-                self.recorder.sample("coordinator.residual", resid)
-                total_demand = sum(sh.demand() for sh in self.shards)
-                for r in results:
-                    sh = self.shards[r.shard]
-                    self.recorder.event(
-                        "shard.solve", shard=r.shard,
-                        rows=sh.n_rows, sweeps=r.sweeps,
-                        converged=r.converged,
-                        demand_share=(sh.demand() / total_demand
-                                      if total_demand > 0.0 else 0.0))
+                    "shard.solve", shard=r.shard,
+                    rows=sh.n_rows, sweeps=r.sweeps,
+                    converged=r.converged,
+                    demand_share=(sh.demand() / total_demand
+                                  if total_demand > 0.0 else 0.0))
+
+        # Adaptive damping: a fixed factor can stall in a small limit
+        # cycle (simultaneous best responses overshooting each other);
+        # when the residual stops contracting for a few rounds, halve
+        # the damping.  The decision uses only the gathered residual,
+        # so it is identical across execution modes.
+        ran = exchange_rounds(
+            lambda damping: self._run_round(pool, damping), self.residual,
+            tol=tol, max_rounds=max_rounds, damping=cfg.damping,
+            on_stall=lambda damping: max(0.5 * damping, 0.05),
+            on_round=traced)
+        rounds, sweeps, resid = ran.rounds, ran.sweeps, ran.residual
         if self.recorder.enabled and self._pool is not None:
             ds = self._pool.static_bytes - self._emitted_static
             dr = self._pool.round_bytes - self._emitted_round
@@ -564,6 +560,7 @@ class ShardCoordinator:
         The skew check runs first: a re-layout moves classes *with*
         their allocation rows, so it changes neither the loads nor the
         residual — re-partitioning rides along with routed events.
+        Refresh rounds end settled (:meth:`_settle`).
         """
         migrated = self.rebalance()
         resid = self.residual()
@@ -578,10 +575,58 @@ class ShardCoordinator:
             self.refreshes += 1
             if self.recorder.enabled:
                 self.recorder.count("coordinator.refresh")
+            resid = self._settle(resid)
         self.events_applied += events
         return RoutedResult(ok=True, events=events, sweeps=sweeps,
                             rounds=rounds, refreshed=refreshed,
                             residual=resid, migrations=migrated)
+
+    def _settle(self, resid: float) -> float:
+        """End exchange rounds certified; the residual they end at.
+
+        Runs where an update ran exchange rounds — a refresh or a
+        decline's recovery — and nowhere else: an update its shards
+        absorb without rounds is left as the absorb left it.  The
+        residual is not an optimality certificate: the rounds can stop
+        above ``tol``, and per-row best response can stall where a
+        capacity-bound column couples two rows (moving load then needs a
+        two-row swap no row sees).  So a plane whose rounds ended above
+        ``tol`` or that fails the LDDM dual bound
+        (:func:`~repro.core.certify.certify`) at ``_CERTIFY_GAP`` is
+        re-laid — through the LPT builder — from the certified
+        water-fill solve of its own class instance, unless that solve is
+        no better than the plane's own feasible rows.
+        """
+        tokens, masks, demands, rows, problem, live = self._own_instance()
+        held = certify(problem, rows[:, live])
+        if resid <= self.config.tol and held.gap <= _CERTIFY_GAP:
+            return resid
+        solved = core_solve(problem, "waterfill")
+        if math.isfinite(held.gap) and solved.objective >= held.primal:
+            return resid        # the plane's feasible rows are no worse
+        rows = np.zeros(masks.shape)
+        rows[:, live] = solved.allocation
+        clients = {c: (t, d) for c, t, d in self.clients()}
+        n_shards = self.n_shards
+        self.shards = []        # new rows: `_lay_out` starts afresh
+        self._lay_out(n_shards, tokens, masks, demands, rows, clients)
+        self.resolves += 1
+        if self.recorder.enabled:
+            self.recorder.count("coordinator.resolve")
+        return self.residual()
+
+    def _own_instance(self) -> tuple[list[bytes], np.ndarray, np.ndarray,
+                                     np.ndarray, ReplicaSelectionProblem,
+                                     np.ndarray]:
+        """:meth:`class_snapshot` plus the instance it solves, on the
+        live columns ``live`` (a dead replica has no capacity)."""
+        tokens, masks, demands, rows = self.class_snapshot()
+        live = self.B > 0.0
+        problem = ReplicaSelectionProblem(ProblemData(
+            demands=demands, capacities=self.B[live], prices=self.u[live],
+            alpha=self.alpha[live], beta=self.beta[live],
+            gamma=self.gamma[live], mask=masks[:, live]))
+        return tokens, masks, demands, rows, problem, live
 
     def apply_event(
             self, event: "ClientArrival | ClientDeparture | DemandChange"
@@ -608,7 +653,10 @@ class ShardCoordinator:
            residual drifted;
         5. **Recover** a decline in place: the events are recorded, so
            whatever the reason the shard is force-targeted at its own
-           ``D`` and exchange rounds re-fill every row.
+           ``D`` and exchange rounds re-fill every row;
+        6. **Settle** (:meth:`_settle`): exchange rounds (a refresh or
+           the recovery) that end uncertified re-lay the plane from the
+           certified solve of its own class instance.
         """
         events = list(events)
         if not events:
@@ -644,7 +692,8 @@ class ShardCoordinator:
                 return RoutedResult(
                     ok=True, events=len(events), sweeps=sweeps + res.sweeps,
                     rounds=res.rounds, refreshed=True,
-                    residual=res.residual, fallback_reason=r.reason)
+                    residual=self._settle(res.residual),
+                    fallback_reason=r.reason)
             sweeps += r.sweeps
         return self._maybe_refresh(len(events), sweeps)
 
@@ -831,15 +880,16 @@ def solve_sharded(problem, n_shards: int = 4, *, mode: str = "serial",
     shards, runs exchange rounds to the configured tolerance and expands
     the class rows back to a client-space :class:`Solution`.  With
     ``n_shards=1`` the plane degenerates and this delegates *literally*
-    to :func:`repro.core.aggregate.solve_aggregated` — bit-identical to
-    the monolithic aggregated solve by construction.  Either way
-    ``recorder`` times the stages as ``aggregate.group`` / ``.reduce`` /
-    ``.solve`` / ``.expand`` spans.
+    to ``repro.solve(problem, "waterfill", aggregate=True)`` — the
+    certified one-shard sweep, bit-identical to it by construction.
+    Either way ``recorder`` times the stages as ``aggregate.group`` /
+    ``.reduce`` / ``.solve`` / ``.expand`` spans.
     """
     cfg = config if config is not None \
         else ShardingConfig(n_shards=n_shards, mode=mode)
     if cfg.n_shards == 1:
-        return solve_aggregated(problem, "lddm", recorder=recorder)
+        return core_solve(problem, "waterfill", aggregate=True,
+                          recorder=recorder)
     rec = recorder if recorder is not None else NULL_RECORDER
     t0 = perf_counter()
     agg = aggregate_problem(problem, recorder=rec)

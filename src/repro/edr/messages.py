@@ -23,13 +23,14 @@ Wire-model contract (enforced by ``tests/service/test_schemas.py``):
   :class:`~repro.errors.VersionMismatchError` — a peer speaking another
   protocol must not be half-parsed;
 * solve and event responses are class-space: they carry K class rows
-  and a client -> class index, and derive the C x N ``allocation`` from
-  them when built (``init=False`` fields never travel).
+  and a client -> class index, check them when built, and derive the
+  C x N ``allocation`` from them on first read (it never travels).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -113,8 +114,8 @@ class WireModel:
     Subclasses are plain dataclasses whose fields hold JSON-compatible
     values (numbers, strings, bools, lists, dicts, nested models; numpy
     arrays and scalars encode as their lists and items).  Fields with
-    ``init=False`` are derived from the others when the model is built
-    and never travel.  The envelope adds ``v`` (protocol version) and
+    ``init=False`` never travel, and neither do views derived from the
+    fields (properties).  The envelope adds ``v`` (protocol version) and
     ``type`` (the model's :attr:`TYPE` tag); :meth:`from_dict` validates
     both, tolerates unknown fields, and rejects missing required fields.
     """
@@ -227,6 +228,8 @@ class SolveRequest(WireModel):
     (``None`` = all-eligible).  ``clients`` optionally names the demand
     rows so a follow-up event stream (`/v1/events`) can address them.
     ``options`` is forwarded to the solver (``max_iter``, ``tol``, ...).
+    ``algorithm`` defaults to ``"waterfill"``, the certified class-space
+    solve; ``"lddm"`` / ``"cdpsm"`` run the paper's algorithms.
     """
 
     TYPE: ClassVar[str] = "solve_request"
@@ -243,20 +246,18 @@ class SolveRequest(WireModel):
     beta: float | list = None
     gamma: float | list = None
     mask: list | None = None
-    algorithm: str = "lddm"
+    algorithm: str = "waterfill"
     aggregate: bool = True
     clients: list | None = None
     options: dict = field(default_factory=dict)
 
 
-def _class_allocation(model) -> list:
-    """The (C, N) client rows a class-space response stands for, checked.
+def _check_class_space(model) -> tuple[np.ndarray, np.ndarray]:
+    """Shape / index checks of a class-space response, at parse time.
 
-    One vectorised expansion (:func:`~repro.core.aggregate.
-    expand_class_rows`) of ``class_rows`` by ``class_of``,
-    ``client_demands`` and ``class_demand``: exact, since JSON carries
-    every float by ``repr``, so a decoded response rebuilds the sender's
-    rows bit for bit.
+    A malformed payload is a :class:`~repro.errors.WireFormatError` when
+    the model is built, not when a lazy view is first read.  Returns the
+    ``(class_of, client_demands)`` arrays the checks already built.
     """
     rows = np.asarray(model.class_rows, dtype=float)
     class_demand = np.asarray(model.class_demand, dtype=float)
@@ -274,8 +275,32 @@ def _class_allocation(model) -> list:
         raise WireFormatError("class_of entries must index class_rows")
     if model.clients is not None and len(model.clients) != class_of.size:
         raise WireFormatError("clients must name every class_of entry")
-    class_of = class_of.astype(np.intp, copy=False)
-    return expand_class_rows(rows, class_of, demands, class_demand).tolist()
+    return class_of.astype(np.intp, copy=False), demands
+
+
+class _ClassSpaceResponse:
+    """Mixin of the class-space responses: checked when built, expanded
+    on first read.
+
+    An encoder that only sends the wire fields (the HTTP server) never
+    pays for the C x N ``allocation``.
+    """
+
+    def __post_init__(self) -> None:
+        self._clients_index = _check_class_space(self)
+
+    @functools.cached_property
+    def allocation(self) -> list:
+        """The (C, N) client rows: one vectorised expansion
+        (:func:`~repro.core.aggregate.expand_class_rows`) of
+        ``class_rows`` by ``class_of``, ``client_demands`` and
+        ``class_demand``.  Exact, since JSON carries every float by
+        ``repr``, so a decoded response rebuilds the sender's rows bit
+        for bit."""
+        class_of, demands = self._clients_index
+        return expand_class_rows(
+            np.asarray(self.class_rows, dtype=float), class_of, demands,
+            np.asarray(self.class_demand, dtype=float)).tolist()
 
 
 #: Per-element decoders of the class-space response fields; ``class_of``
@@ -288,17 +313,17 @@ _CLASS_SPACE_CONVERTERS = {
 
 
 @dataclass
-class SolveResponse(WireModel):
+class SolveResponse(_ClassSpaceResponse, WireModel):
     """``POST /v1/solve`` result, in class space.
 
     The wire carries the K class rows (``class_rows``, summing to
     ``class_demand``), the per-class multipliers ``class_duals``, and
     each client's class (``class_of``) and demand (``client_demands``),
     in request order.  ``allocation`` (C x N) and ``duals`` (C) are
-    derived from them when the model is built — the exact exchangeable
-    expansion ``class_rows[k] * R_c / D_k``, and each member's class
-    multiplier (exchangeable clients share one at the optimum: it
-    prices a unit of the class's demand) — and never travel.
+    derived from them on first read — the exact exchangeable expansion
+    ``class_rows[k] * R_c / D_k``, and each member's class multiplier
+    (exchangeable clients share one at the optimum: it prices a unit of
+    the class's demand) — and never travel.
     """
 
     TYPE: ClassVar[str] = "solve_response"
@@ -320,17 +345,20 @@ class SolveResponse(WireModel):
     warm_started: bool | None = None
     n_classes: int | None = None
     clients: list | None = None
-    allocation: list = field(init=False, repr=False, compare=False)
-    duals: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.allocation = _class_allocation(self)
-        self.duals = None
-        if self.class_duals is not None:
-            mu = np.asarray(self.class_duals, dtype=float)
-            if mu.shape != (len(self.class_rows),):
-                raise WireFormatError("class_duals need one entry per class")
-            self.duals = mu[np.asarray(self.class_of, dtype=np.intp)].tolist()
+        super().__post_init__()
+        if self.class_duals is not None \
+                and len(self.class_duals) != len(self.class_rows):
+            raise WireFormatError("class_duals need one entry per class")
+
+    @functools.cached_property
+    def duals(self) -> list | None:
+        """Each client's class multiplier (``None`` without duals)."""
+        if self.class_duals is None:
+            return None
+        mu = np.asarray(self.class_duals, dtype=float)
+        return mu[self._clients_index[0]].tolist()
 
 
 @dataclass
@@ -408,7 +436,7 @@ class EventRequest(WireModel):
 
 
 @dataclass
-class EventResponse(WireModel):
+class EventResponse(_ClassSpaceResponse, WireModel):
     """``POST /v1/events`` result: what the incremental plane did.
 
     ``applied`` counts events absorbed in place; ``resolves`` counts the
@@ -435,10 +463,6 @@ class EventResponse(WireModel):
     loads: list = field(default_factory=list)
     clients: list = field(default_factory=list)
     fallback_reasons: dict = field(default_factory=dict)
-    allocation: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.allocation = _class_allocation(self)
 
 
 @dataclass

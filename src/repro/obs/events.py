@@ -29,6 +29,9 @@ Counters (aggregated in-recorder, exported once):
                             chunk retargets report ``ok=False``
 ``coordinator.refresh``     residual-triggered full exchange-round
                             refreshes of the sharded plane
+``coordinator.resolve``     re-layouts of the plane from the certified
+                            solve of its own class instance (exchange
+                            rounds that ended uncertified)
 ``coordinator.migration``   classes whose owning shard changed in a
                             skew-repair re-layout (rows move with them)
 ``shard.bytes_static``      bytes of shard geometry shipped to the
@@ -65,6 +68,7 @@ COUNTER_NAMES = (
     "shard.event",
     "shard.fallback",
     "coordinator.refresh",
+    "coordinator.resolve",
     "coordinator.migration",
     "shard.bytes_static",
     "shard.bytes_round",

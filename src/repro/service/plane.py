@@ -131,9 +131,10 @@ class InProcessControlPlane:
         :class:`SolverOptions`, one shard otherwise) and read the class
         rows / ``loads`` / ``objective`` back from it the way every event
         snapshot is read — the response equals the next ``events([])``
-        exactly.  Under ``aggregate`` the algorithm runs in class space;
-        otherwise (``aggregate=False``, ``"reference"``) its client rows
-        are summed per class.  Either way the response is class space:
+        exactly.  Under ``aggregate`` — and always for ``"waterfill"``,
+        the default — the algorithm runs in class space; otherwise
+        (``aggregate=False``, ``"reference"``) its client rows are summed
+        per class.  Either way the response is class space:
         its ``allocation`` is the exchangeable expansion of the class
         rows, each client its demand share of its class row.  Without
         ``clients`` nothing is armed and the class rows, loads and
@@ -151,7 +152,9 @@ class InProcessControlPlane:
         if unknown:
             raise ValidationError(
                 f"unknown {algorithm} solver option(s) {unknown}")
-        aggregate = bool(request.aggregate) and algorithm != "reference"
+        # The water-fill solve is class space whatever ``aggregate`` says.
+        aggregate = algorithm == "waterfill" or (
+            bool(request.aggregate) and algorithm != "reference")
         clients = request.clients
         if clients is not None:
             if len(clients) != data.n_clients:

@@ -64,7 +64,7 @@ class TestDispatchParity:
 
 class TestValidation:
     def test_algorithms_tuple(self):
-        assert ALGORITHMS == ("lddm", "cdpsm", "reference")
+        assert ALGORITHMS == ("lddm", "cdpsm", "reference", "waterfill")
 
     def test_unknown_algorithm(self, problem):
         with pytest.raises(ValidationError, match="unknown algorithm"):

@@ -94,6 +94,19 @@ class TestSingleEvents:
         assert state.row(row.tobytes()).sum() == pytest.approx(5.0)
         _check_optimal(state)
 
+    def test_cancelling_updates_leave_a_class_exactly_empty(self):
+        # 0.1 + 0.2 - 0.1 - 0.2 is 2.8e-17 in floats; the class holds 0.
+        prob = random_instance(5, n_clients=4, n_replicas=4)
+        state = _state_from(prob)
+        row = np.array([True, False, True, False])
+        for name, demand in (("a", 0.1), ("b", 0.2)):
+            assert state.apply_event(ClientArrival(name, demand, row)).ok
+        for name in ("a", "b"):
+            assert state.apply_event(ClientDeparture(name)).ok
+        assert state.D[state.tokens.index(row.tobytes())] == 0.0
+        assert not state.row(row.tobytes()).any()
+        _check_optimal(state)
+
     def test_mu_matches_operating_point(self):
         prob = random_instance(4, n_clients=5, n_replicas=4, masked=True)
         state = _state_from(prob)

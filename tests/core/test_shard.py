@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.incremental import IncrementalState
 from repro.core.kernels import waterfill_rows
+from repro.core.params import ProblemData
 from repro.core.reference import solve_reference
 from repro.core.shard import (
     SolveShard,
@@ -155,6 +156,26 @@ class TestWaterfillRows:
         assert P[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert P[0].sum() == pytest.approx(15.0, rel=1e-9)
         assert (P[0] <= head[0] + 1e-9).all()
+
+    def test_linear_columns_fill_in_price_order(self):
+        # The row's level settles on the level-2 column, which the bracket
+        # straddles: the level-1 column is full and only the level-2 one
+        # takes the remainder — scaling the whole fill down to the
+        # demand would leave the cheap column half empty.  Batched and
+        # scalar paths alike.
+        u = np.array([3.0, 1.0, 2.0])
+        alpha = np.ones(3)
+        beta = np.zeros(3)
+        gamma = np.ones(3)
+        P, fits = waterfill_rows(u, alpha, beta, gamma, np.array([15.0]),
+                                 np.zeros((1, 3)), np.full((1, 3), 10.0))
+        assert fits[0]
+        np.testing.assert_allclose(P[0], [0.0, 10.0, 5.0], atol=1e-9)
+        data = ProblemData(demands=[15.0], capacities=[10.0] * 3, prices=u,
+                           alpha=alpha, beta=beta, gamma=gamma)
+        st = IncrementalState(data, [b"row"], np.zeros((1, 3)))
+        assert st._rebalance_row(0)
+        np.testing.assert_allclose(st.Q[0], [0.0, 10.0, 5.0], atol=1e-9)
 
     def test_zero_demand_row_is_empty(self):
         problem = random_instance(2, n_clients=3, n_replicas=3)

@@ -11,11 +11,15 @@ chunk retarget, which a one-shard plane answers exactly as a bare
 :class:`~repro.core.incremental.IncrementalState` does.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.aggregate import aggregate_problem, solve_aggregated
+from repro.core.api import solve
+from repro.core.certify import certify
 from repro.core.incremental import (
     ClientArrival,
     ClientDeparture,
@@ -113,7 +117,7 @@ class TestConvergence:
     def test_single_shard_bit_identical_to_monolithic(self):
         problem = scaling_problem(300, seed=5)
         one = solve_sharded(problem, 1)
-        mono = solve_aggregated(problem, "lddm")
+        mono = solve(problem, "waterfill", aggregate=True)
         assert np.array_equal(one.allocation, mono.allocation)
         assert one.objective == mono.objective
 
@@ -288,6 +292,29 @@ class TestEventRouting:
             assert coord.residual() \
                 <= coord.config.refresh_residual + 1e-12
         assert coord.events_applied >= 2
+
+    def test_absorbs_after_a_replica_death_are_not_certified(self):
+        # A dead column holds B = 0 = load.  Only exchange rounds end
+        # certified; an event its shard absorbs is neither certified
+        # nor re-solved.
+        problem, coord = self._converged_coord()
+        coord.fail_replica(1)
+        assert coord.solve().converged
+        absorbed = 0
+        with mock.patch("repro.edr.coordinator.certify",
+                        wraps=certify) as checked:
+            for i in range(20):
+                name = f"c{i}"
+                demand = coord.registered(name)[1]
+                calls = checked.call_count
+                r = coord.apply_event(DemandChange(name, demand * 1.01))
+                assert r.ok
+                if not r.refreshed:
+                    absorbed += 1
+                    assert checked.call_count == calls
+        assert absorbed > 0
+        assert coord.resolves == 0
+        assert coord.loads[1] == 0.0
 
     def test_routing_follows_registration(self):
         problem, coord = self._converged_coord()

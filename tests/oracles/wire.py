@@ -10,7 +10,9 @@ both called :func:`repro.core.aggregate.expand_class_rows`.  The bodies
 are verbatim; only the signatures changed (free functions taking the
 model, the structure fields, or the plane's coordinator), and
 ``to_dict_plain`` skips derived (``init=False``) fields, which no model
-had before.
+had before.  ``eager_allocation`` / ``eager_duals`` are the class-space
+responses' ``__post_init__`` expansions from before ``allocation`` and
+``duals`` became views computed on first read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.aggregate import expand_class_rows
 from repro.edr.messages import WIRE_VERSION, WireModel
 from repro.errors import WireFormatError
 
@@ -81,3 +84,35 @@ def client_rows(coord, members: list[tuple[str, bytes, float]]) -> np.ndarray:
     share = np.divide(demand, class_demand[k], out=np.zeros(k.shape),
                       where=class_demand[k] > 0.0)
     return rows[k] * share[:, None]
+
+
+def eager_allocation(model) -> list:
+    """The (C, N) client rows a class-space response stands for, checked."""
+    rows = np.asarray(model.class_rows, dtype=float)
+    class_demand = np.asarray(model.class_demand, dtype=float)
+    class_of = np.asarray(model.class_of)
+    demands = np.asarray(model.client_demands, dtype=float)
+    K = class_demand.shape[0] if class_demand.ndim == 1 else -1
+    if rows.ndim != 2 or rows.shape[0] != K:
+        raise WireFormatError(
+            "class_rows must hold one row per class_demand entry")
+    if class_of.ndim != 1 or demands.shape != class_of.shape:
+        raise WireFormatError(
+            "class_of and client_demands need one entry per client")
+    if class_of.size and (class_of.dtype.kind not in "iu"
+                          or class_of.min() < 0 or class_of.max() >= K):
+        raise WireFormatError("class_of entries must index class_rows")
+    if model.clients is not None and len(model.clients) != class_of.size:
+        raise WireFormatError("clients must name every class_of entry")
+    class_of = class_of.astype(np.intp, copy=False)
+    return expand_class_rows(rows, class_of, demands, class_demand).tolist()
+
+
+def eager_duals(model) -> list | None:
+    """Each client's class multiplier, as ``SolveResponse`` built it."""
+    if model.class_duals is None:
+        return None
+    mu = np.asarray(model.class_duals, dtype=float)
+    if mu.shape != (len(model.class_rows),):
+        raise WireFormatError("class_duals need one entry per class")
+    return mu[np.asarray(model.class_of, dtype=np.intp)].tolist()

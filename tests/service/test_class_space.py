@@ -20,7 +20,9 @@ from repro.core.aggregate import ClassStructure, expand_class_rows
 from repro.edr.messages import EventRequest, EventResponse, SolveRequest, \
     SolveResponse
 from repro.service.plane import InProcessControlPlane
-from tests.oracles.wire import client_rows, expand_rows_weights
+from repro.errors import WireFormatError
+from tests.oracles.wire import client_rows, eager_allocation, eager_duals, \
+    expand_rows_weights
 from tests.service.batches import PLANE_CONFIGS, arrival, change, departure
 
 PRICES = [1.0, 8.0, 1.0, 6.0]
@@ -99,6 +101,41 @@ def test_solve_allocation_equals_replaced_expansions(config):
     assert decoded == solved
     assert decoded.allocation == solved.allocation
     assert decoded.duals == solved.duals
+
+
+@pytest.mark.parametrize("config", PLANE_CONFIGS)
+def test_client_views_are_built_on_first_read(config):
+    """``allocation`` / ``duals`` are cached views: a response the server
+    only encodes never expands them, and the first read equals the
+    expansion the model used to build eagerly."""
+    with InProcessControlPlane(PLANE_CONFIGS[config]) as plane:
+        solved = plane.solve(request())
+        events = plane.events(EventRequest(
+            events=SCENARIOS["class-created-in-batch"]))
+    for resp in (solved, events, SolveResponse.from_json(solved.to_json()),
+                 EventResponse.from_json(events.to_json())):
+        assert "allocation" not in vars(resp)
+        want = eager_allocation(resp)
+        assert np.array_equal(resp.allocation, want)
+        assert resp.allocation is resp.allocation          # cached
+    assert "duals" not in vars(solved)
+    assert np.array_equal(solved.duals, eager_duals(solved))
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("class_of", [0, 9], "index class_rows"),
+    ("client_demands", [1.0], "one entry per client"),
+    ("class_rows", [[1.0, 2.0]], "one row per class_demand"),
+    ("class_duals", [1.0, 2.0, 3.0], "one entry per class"),
+])
+def test_malformed_payload_fails_at_parse_not_at_first_read(field, value,
+                                                            fragment):
+    good = dict(class_rows=[[1.0, 2.0], [3.0, 4.0]], class_demand=[3.0, 7.0],
+                class_of=[0, 1], client_demands=[3.0, 7.0], objective=1.0,
+                iterations=1, converged=True, class_duals=[1.0, 2.0])
+    SolveResponse(**good)
+    with pytest.raises(WireFormatError, match=fragment):
+        SolveResponse(**dict(good, **{field: value}))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -72,7 +72,8 @@ def assert_response_is_first_snapshot(solved, snapshot):
 @pytest.mark.parametrize("config", PLANE_CONFIGS)
 @pytest.mark.parametrize("aggregate", [True, False],
                          ids=["aggregated", "direct"])
-@pytest.mark.parametrize("algorithm", ["lddm", "cdpsm", "reference"])
+@pytest.mark.parametrize("algorithm", ["lddm", "cdpsm", "reference",
+                                       "waterfill"])
 def test_solve_response_equals_first_snapshot(algorithm, aggregate, config):
     with InProcessControlPlane(PLANE_CONFIGS[config]) as plane:
         solved = plane.solve(varied_request(algorithm=algorithm,

@@ -4,7 +4,7 @@ the sharded backend, and the close() lifecycle."""
 import numpy as np
 import pytest
 
-from repro.core.aggregate import solve_aggregated
+from repro.core.api import solve
 from repro.core.params import ProblemData
 from repro.core.problem import ReplicaSelectionProblem
 from repro.core.reference import solve_reference
@@ -30,6 +30,10 @@ def make_plane(**cfg):
     return InProcessControlPlane(ServiceConfig(**cfg))
 
 
+def paper_problem():
+    return ReplicaSelectionProblem(ProblemData.paper_defaults(DEMANDS, PRICES))
+
+
 def solve_request(**over):
     fields = dict(demands=DEMANDS, prices=PRICES, clients=["a", "b", "c"])
     fields.update(over)
@@ -39,19 +43,37 @@ def solve_request(**over):
 class TestSolve:
     def test_matches_library_solve_exactly(self):
         with make_plane() as plane:
-            resp = plane.solve(solve_request())
-        problem = ReplicaSelectionProblem(
-            ProblemData.paper_defaults(DEMANDS, PRICES))
-        direct = solve_aggregated(problem, "lddm")
+            resp = plane.solve(solve_request(algorithm="lddm"))
+        direct = solve(paper_problem(), "lddm", aggregate=True)
         np.testing.assert_array_equal(np.asarray(resp.allocation),
                                       direct.allocation)
         assert resp.objective == direct.objective
         assert resp.converged
 
-    def test_reports_runtime_fields(self):
+    def test_default_matches_library_waterfill_exactly(self):
         with make_plane() as plane:
             resp = plane.solve(solve_request())
+        direct = solve(paper_problem(), "waterfill", aggregate=True)
+        np.testing.assert_array_equal(np.asarray(resp.allocation),
+                                      direct.allocation)
+        assert resp.objective == direct.objective
+        assert resp.iterations == direct.iterations == 1
+        assert resp.converged
+
+    def test_reports_runtime_fields(self):
+        with make_plane() as plane:
+            resp = plane.solve(solve_request(algorithm="lddm"))
         assert resp.method == "lddm"
+        assert resp.solve_time_s > 0
+        assert resp.n_classes == 1
+        assert len(resp.duals) == len(DEMANDS)
+        assert len(resp.loads) == len(PRICES)
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_default_reports_waterfill_in_class_space(self, aggregate):
+        with make_plane() as plane:
+            resp = plane.solve(solve_request(aggregate=aggregate))
+        assert resp.method == "waterfill"
         assert resp.solve_time_s > 0
         assert resp.n_classes == 1
         assert len(resp.duals) == len(DEMANDS)
