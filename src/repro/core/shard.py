@@ -296,7 +296,10 @@ class SolveShard:
         the round.  ``damping`` in (0, 1] blends the new rows with the
         previous round's (1.0 = undamped full step); rows whose demand
         changed since the previous round always take the full step, so
-        damping never breaks row-sum feasibility.
+        damping never breaks row-sum feasibility.  So do rows whose best
+        response empties a column they loaded: blended, such a share
+        would only decay by ``1 - damping`` a round and never drop out of
+        the KKT active set.
         """
         st = self.state
         st.set_background(background)
@@ -316,7 +319,9 @@ class SolveShard:
         if damping < 1.0:
             ok_rows = np.abs(Q_prev.sum(axis=1) - st.D) \
                 <= 1e-9 * np.maximum(st.D, 1.0)
-            lam = np.where(ok_rows, float(damping), 1.0)[:, None]
+            zero = 1e-12 * st.D[:, None]
+            emptied = ((st.Q <= zero) & (Q_prev > zero)).any(axis=1)
+            lam = np.where(ok_rows & ~emptied, float(damping), 1.0)[:, None]
             st.Q = (1.0 - lam) * Q_prev + lam * st.Q
             st.loads = st.Q.sum(axis=0)
         self.rounds_run += 1

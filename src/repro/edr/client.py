@@ -44,8 +44,7 @@ class ClientAgent:
                  stats: ResponseTimeStats,
                  on_transfer_event: Callable[[str, str, float], None] | None = None,
                  on_delivered: Callable[[str, float], None] | None = None,
-                 coalesce: bool = False,
-                 recorder=None) -> None:
+                 *, coalesce: bool, recorder=None) -> None:
         self.sim = sim
         self.network = network
         self.flows = flows
@@ -104,7 +103,7 @@ class ClientAgent:
                     for uid in payload["shares"]:
                         self.stats.answered(uid, self.sim.now)
                     self._download_coalesced(payload["shares"],
-                                             payload.get("by_replica"))
+                                             payload["by_replica"])
                     continue
                 for uid, shares in payload["shares"].items():
                     self.stats.answered(uid, self.sim.now)
@@ -145,23 +144,15 @@ class ClientAgent:
             self._broadcast_request(lost)
 
     def _download_coalesced(self, shares_map: dict[str, dict[str, float]],
-                            by_replica: dict[str, list] | None) -> None:
+                            by_replica: dict[str, list]) -> None:
         """One weighted aggregate flow per source replica for this batch.
 
-        ``by_replica`` is the lead's precomputed ``{replica: [(uid,
-        amount), ...]}`` grouping when present (old-style ASSIGN payloads
-        carry only per-request shares, so the grouping falls back to a
-        local pass).  Per-request accounting — delivery, transfer events,
-        loss and retry — hangs off the aggregate's part resolutions,
-        which fire at each request's true completion instant.
+        ``by_replica`` is the announcer's ``{replica: [(uid, amount),
+        ...]}`` grouping of ``shares_map``.  Per-request accounting —
+        delivery, transfer events, loss and retry — hangs off the
+        aggregate's part resolutions, which fire at each request's true
+        completion instant.
         """
-        if by_replica is None:
-            by_replica = {}
-            for uid, shares in shares_map.items():
-                for replica, amount in shares.items():
-                    if amount <= 0:
-                        continue
-                    by_replica.setdefault(replica, []).append((uid, amount))
         n_parts = 0
         total_mb = 0.0
         for parts in by_replica.values():

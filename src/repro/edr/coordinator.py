@@ -409,7 +409,13 @@ class ShardCoordinator:
     # -- exchange rounds ------------------------------------------------------
     def solve(self, *, max_rounds: int | None = None,
               tol: float | None = None) -> CoordinatorResult:
-        """Run dual-price exchange rounds until the residual is within tol."""
+        """Run dual-price exchange rounds until the residual is within tol.
+
+        A plane whose residual reaches ``tol`` is converged only once it
+        certifies (:meth:`_settle`): per-row best response can stop at a
+        zero residual far above the optimum, and such a plane is re-laid
+        from the certified solve of its own class instance.
+        """
         cfg = self.config
         max_rounds = cfg.max_rounds if max_rounds is None else int(max_rounds)
         tol = cfg.tol if tol is None else float(tol)
@@ -458,6 +464,8 @@ class ShardCoordinator:
                 self.recorder.count("shard.bytes_round", dr)
             self._emitted_static = self._pool.static_bytes
             self._emitted_round = self._pool.round_bytes
+        if resid <= tol:
+            resid = self._settle(resid, tol)
         converged = resid <= tol
         if self.recorder.enabled:
             self.recorder.event(
@@ -567,39 +575,45 @@ class ShardCoordinator:
         rounds = 0
         refreshed = False
         if resid > self.config.refresh_residual:
-            res = self.solve()
-            resid = res.residual
-            rounds = res.rounds
-            sweeps += res.sweeps
+            resid, rounds, swept = self._refresh()
+            sweeps += swept
             refreshed = True
-            self.refreshes += 1
             if self.recorder.enabled:
                 self.recorder.count("coordinator.refresh")
-            resid = self._settle(resid)
         self.events_applied += events
         return RoutedResult(ok=True, events=events, sweeps=sweeps,
                             rounds=rounds, refreshed=refreshed,
                             residual=resid, migrations=migrated)
 
-    def _settle(self, resid: float) -> float:
+    def _refresh(self) -> tuple[float, int, int]:
+        """Exchange rounds for an update, ended settled: ``(residual,
+        rounds, sweeps)``.  :meth:`solve` settles a plane that reached
+        ``tol``; one whose rounds stopped above it is settled here."""
+        res = self.solve()
+        self.refreshes += 1
+        resid = res.residual if res.converged else self._settle(res.residual)
+        return resid, res.rounds, res.sweeps
+
+    def _settle(self, resid: float, tol: float | None = None) -> float:
         """End exchange rounds certified; the residual they end at.
 
-        Runs where an update ran exchange rounds — a refresh or a
-        decline's recovery — and nowhere else: an update its shards
-        absorb without rounds is left as the absorb left it.  The
+        Runs where exchange rounds ran — :meth:`solve` and an update's
+        refresh or decline recovery — and nowhere else: an update its
+        shards absorb without rounds is left as the absorb left it.  The
         residual is not an optimality certificate: the rounds can stop
         above ``tol``, and per-row best response can stall where a
         capacity-bound column couples two rows (moving load then needs a
         two-row swap no row sees).  So a plane whose rounds ended above
-        ``tol`` or that fails the LDDM dual bound
-        (:func:`~repro.core.certify.certify`) at ``_CERTIFY_GAP`` is
-        re-laid — through the LPT builder — from the certified
+        ``tol`` (default ``config.tol``) or that fails the LDDM dual
+        bound (:func:`~repro.core.certify.certify`) at ``_CERTIFY_GAP``
+        is re-laid — through the LPT builder — from the certified
         water-fill solve of its own class instance, unless that solve is
         no better than the plane's own feasible rows.
         """
+        tol = self.config.tol if tol is None else tol
         tokens, masks, demands, rows, problem, live = self._own_instance()
         held = certify(problem, rows[:, live])
-        if resid <= self.config.tol and held.gap <= _CERTIFY_GAP:
+        if resid <= tol and held.gap <= _CERTIFY_GAP:
             return resid
         solved = core_solve(problem, "waterfill")
         if math.isfinite(held.gap) and solved.objective >= held.primal:
@@ -687,12 +701,10 @@ class ShardCoordinator:
             if not r.ok:
                 st = self.shards[s].state
                 st.force_target(list(st.tokens), st.masks, st.D)
-                res = self.solve()
-                self.refreshes += 1
+                resid, rounds, swept = self._refresh()
                 return RoutedResult(
-                    ok=True, events=len(events), sweeps=sweeps + res.sweeps,
-                    rounds=res.rounds, refreshed=True,
-                    residual=self._settle(res.residual),
+                    ok=True, events=len(events), sweeps=sweeps + swept,
+                    rounds=rounds, refreshed=True, residual=resid,
                     fallback_reason=r.reason)
             sweeps += r.sweeps
         return self._maybe_refresh(len(events), sweeps)

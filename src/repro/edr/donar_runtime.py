@@ -1,10 +1,16 @@
 """DONAR runtime for the Fig. 9 head-to-head.
 
-Mirrors :class:`~repro.edr.system.EDRSystem` with DONAR's architecture:
+The batching loop of :class:`~repro.edr.system.EDRSystem` (one
+:class:`~repro.edr.system.BatchingRuntime`) with DONAR's architecture:
 dedicated *mapping nodes* (not the replicas) receive client requests and
 run DONAR's decomposition among themselves, then hand each client its
 split.  Replicas only serve files.  Response-time semantics match EDR's:
 request issued -> decision received.
+
+It reads the scenario fields of :class:`~repro.edr.system.RuntimeConfig`
+it shares with EDR: ``prices`` (for the replica count only), ``net``,
+``poll_interval``, ``batch_capacity_fraction``, ``horizon`` and
+``solver.timing``.
 
 The numeric solve runs via :class:`~repro.baselines.donar.DonarSolver`;
 each Gauss-Seidel sweep costs one round of mapping-node aggregate
@@ -14,90 +20,37 @@ batch's client count, exactly parallel to how EDR's sessions are timed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.baselines.donar import DonarSolver
-from repro.edr.client import ClientAgent
+from repro.core.projection import project_demands
 from repro.edr.messages import MsgKind, Ports
-from repro.edr.scheduler import SolveTimingModel
-from repro.errors import SimulationError, ValidationError
-from repro.metrics.latency import ResponseTimeStats
+from repro.edr.system import BatchingRuntime, RuntimeConfig
 from repro.metrics.report import ExperimentResult
-from repro.net.flows import FlowManager
-from repro.net.topology import Topology
-from repro.net.transport import Network
-from repro.sim.engine import Simulator
 from repro.workload.requests import RequestTrace
 
-__all__ = ["DonarRuntimeConfig", "DonarRuntime"]
+__all__ = ["DonarRuntime", "N_MAPPING_NODES", "MIN_ROUNDS"]
+
+#: DONAR mapping nodes, as in the paper's Fig. 9 setup.
+N_MAPPING_NODES = 3
+#: Floor on coordination rounds per batch: a *distributed* system cannot
+#: detect convergence instantly — DONAR's mapping nodes keep exchanging
+#: aggregates for a few rounds after the solution settles.
+MIN_ROUNDS = 10
 
 
-@dataclass
-class DonarRuntimeConfig:
-    """Scenario knobs for a DONAR runtime experiment."""
-
-    n_replicas: int = 3
-    n_mapping_nodes: int = 3
-    bandwidth: float = 100.0
-    lan_latency: float = 0.0005
-    max_latency: float = 0.0018
-    poll_interval: float = 0.02
-    batch_capacity_fraction: float = 0.8
-    #: Floor on coordination rounds per batch: a *distributed* system
-    #: cannot detect convergence instantly — DONAR's mapping nodes keep
-    #: exchanging aggregates for a few rounds after the solution settles.
-    min_rounds: int = 10
-    timing: SolveTimingModel = field(default_factory=SolveTimingModel)
-    solver_kwargs: dict = field(default_factory=dict)
-    horizon: float = 100000.0
-
-
-class DonarRuntime:
+class DonarRuntime(BatchingRuntime):
     """DONAR mapping-node runtime over the same substrate as EDR."""
 
     def __init__(self, trace: RequestTrace,
-                 config: DonarRuntimeConfig | None = None) -> None:
-        self.config = config or DonarRuntimeConfig()
-        cfg = self.config
-        self.trace = trace
-        self.replica_names = [f"replica{i + 1}" for i in range(cfg.n_replicas)]
+                 config: RuntimeConfig | None = None) -> None:
         self.mapping_names = [f"mapper{i + 1}"
-                              for i in range(cfg.n_mapping_nodes)]
-        self.client_names = list(trace.clients)
-        if not self.client_names:
-            raise ValidationError("trace has no requests")
+                              for i in range(N_MAPPING_NODES)]
+        super().__init__(trace, config, extra_nodes=self.mapping_names)
+        self._start_clients(lambda: self.mapping_names[:1])
+        self.sim.process(self._intake_loop())
+        self._start_driver()
 
-        self.sim = Simulator()
-        all_nodes = self.replica_names + self.mapping_names + self.client_names
-        self.topology = Topology.lan(all_nodes, latency=cfg.lan_latency,
-                                     capacity=cfg.bandwidth)
-        self.network = Network(self.sim, self.topology)
-        self.flows = FlowManager(self.sim, self.topology)
-
-        self._batch: list[dict] = []
-        self.stats = ResponseTimeStats()
-        self._delivered_mb = 0.0
-        by_client = {c: [] for c in self.client_names}
-        for req in trace:
-            by_client[req.client].append(req)
-        self.clients: dict[str, ClientAgent] = {}
-        for cname in self.client_names:
-            self.clients[cname] = ClientAgent(
-                self.sim, self.network, self.flows, cname,
-                by_client[cname],
-                live_replicas=lambda: [self.mapping_names[0]],
-                stats=self.stats,
-                on_delivered=lambda _c, mb: self._deliver(mb))
-        self._intake = self.sim.process(self._intake_loop())
-        self._batches = 0
-        self._driver = self.sim.process(self._drive())
-
-    def _deliver(self, mb: float) -> None:
-        self._delivered_mb += mb
-
-    # -- intake -------------------------------------------------------------
     def _intake_loop(self):
         """Lead mapping node's request intake."""
         ep = self.network.endpoint(self.mapping_names[0])
@@ -106,36 +59,17 @@ class DonarRuntime:
             if msg.kind == MsgKind.REQUEST:
                 self._batch.append(dict(msg.payload))
 
-    # -- scheduling ------------------------------------------------------------
-    def _sub_batches(self, batch: list[dict]) -> list[list[dict]]:
-        cap = self.config.batch_capacity_fraction * self.config.bandwidth \
-            * len(self.replica_names)
-        chunks, current, load = [], [], 0.0
-        for item in batch:
-            if current and load + item["size"] > cap:
-                chunks.append(current)
-                current, load = [], 0.0
-            current.append(item)
-            load += item["size"]
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def _schedule_chunk(self, chunk: list[dict]):
+    def _decide(self, chunk: list[dict]):
         cfg = self.config
-        demands: dict[str, float] = {}
-        for item in chunk:
-            demands[item["client"]] = demands.get(item["client"], 0.0) \
-                + item["size"]
-        clients = sorted(demands)
-        cost = np.array([[self.topology.latency(c, r)
-                          for r in self.replica_names] for c in clients])
-        mask = self.topology.eligibility(clients, self.replica_names,
-                                         cfg.max_latency)
-        solver = DonarSolver(
-            cost, [demands[c] for c in clients],
-            np.full(len(self.replica_names), cfg.bandwidth), mask=mask,
-            n_mapping_nodes=cfg.n_mapping_nodes, **cfg.solver_kwargs)
+        live = self.replica_names
+        clients, demands = self._chunk_demands(chunk)
+        demand = np.array([demands[c] for c in clients])
+        capacity = self._live_bandwidths()
+        cost = np.array([[self.topology.latency(c, r) for r in live]
+                         for c in clients])
+        mask = self.topology.eligibility(clients, live, cfg.net.max_latency)
+        solver = DonarSolver(cost, demand, capacity, mask=mask,
+                             n_mapping_nodes=N_MAPPING_NODES)
         # One communication round per Gauss-Seidel sweep: mapping nodes
         # exchange their per-replica aggregates, then compute locally.
         # The numeric sweeps come from the solver's generator so the
@@ -145,7 +79,7 @@ class DonarRuntime:
             (self.topology.latency(a, b)
              for a in self.mapping_names for b in self.mapping_names
              if a != b), default=0.0)
-        n_floats_mb = len(self.replica_names) * 8e-6
+        n_floats_mb = len(live) * 8e-6
 
         def one_round():
             for src in self.mapping_names:
@@ -153,7 +87,7 @@ class DonarRuntime:
                     if src != dst:
                         eps[src].send(dst, Ports.REPLICA, MsgKind.SOLVE_SYNC,
                                       size=n_floats_mb)
-            return cfg.timing.iteration_time(len(clients), "donar") \
+            return cfg.solver.timing.iteration_time(len(clients), "donar") \
                 + pair_delay
 
         allocation = None
@@ -164,60 +98,23 @@ class DonarRuntime:
             yield self.sim.timeout(one_round())
         # A distributed system needs extra quiet rounds to *detect*
         # convergence; pad up to the floor.
-        for _ in range(max(0, cfg.min_rounds - rounds)):
+        for _ in range(max(0, MIN_ROUNDS - rounds)):
             yield self.sim.timeout(one_round())
         allocation = np.array(allocation, dtype=float)
         # Final capacity rounding, as in DonarSolver.solve().
         loads = allocation.sum(axis=0)
-        over = loads > np.full(len(self.replica_names), cfg.bandwidth)
+        over = loads > capacity
         if over.any():
-            from repro.core.projection import project_demands
-            scale = np.where(over, cfg.bandwidth / np.maximum(loads, 1e-300),
-                             1.0)
-            allocation = project_demands(allocation * scale,
-                                         np.array([demands[c]
-                                                   for c in clients]),
-                                         mask)
-        per_client: dict[str, dict] = {}
-        for item in chunk:
-            c_idx = clients.index(item["client"])
-            frac = item["size"] / demands[item["client"]]
-            shares = {self.replica_names[n]: float(allocation[c_idx, n]) * frac
-                      for n in range(len(self.replica_names))
-                      if allocation[c_idx, n] * frac > 1e-12}
-            per_client.setdefault(item["client"], {})[item["uid"]] = shares
-        self._batches += 1
-        lead = self.network.endpoint(self.mapping_names[0])
-        for cname, shares in per_client.items():
-            lead.send(cname, Ports.ASSIGN, MsgKind.ASSIGN,
-                      payload={"batch": self._batches, "shares": shares},
-                      size=1e-4)
-
-    def _drive(self):
-        cfg = self.config
-        total_mb = self.trace.total_mb()
-        while True:
-            if self._batch:
-                batch, self._batch = self._batch, []
-                for chunk in self._sub_batches(batch):
-                    yield from self._schedule_chunk(chunk)
-                continue
-            done = (self.stats.pending == 0
-                    and len(self.flows.active) == 0
-                    and self._delivered_mb >= total_mb - 1e-6
-                    and all(not c._issuer.is_alive
-                            for c in self.clients.values()))
-            if done:
-                return
-            yield self.sim.timeout(cfg.poll_interval)
+            scale = np.where(over, capacity / np.maximum(loads, 1e-300), 1.0)
+            allocation = project_demands(allocation * scale, demand, mask)
+        # DONAR hands out its split as solved: no sliver pruning.
+        self._announce(self._shares_per_request(
+            chunk, clients, demands, allocation, live, 0.0),
+            self.mapping_names[0])
 
     def run(self, app: str = "unknown") -> ExperimentResult:
         """Run to completion; returns the measured result."""
-        cfg = self.config
-        while not self._driver.processed and self.sim.peek() <= cfg.horizon:
-            self.sim.step()
-        if not self._driver.triggered:
-            raise SimulationError("DONAR run did not complete within horizon")
+        self._run_to_completion()
         n = len(self.replica_names)
         return ExperimentResult(
             method="donar", app=app,

@@ -72,23 +72,6 @@ class ReplicaServer:
                 and self.node.activity is NodeActivity.TRANSFERRING:
             self.node.set_activity(NodeActivity.IDLE, now=self.sim.now)
 
-    def send_assignment(self, client: str, shares: dict,
-                        batch_id: int, by_replica: dict | None = None) -> None:
-        """Announce the computed split to a client (ASSIGN message).
-
-        ``by_replica`` optionally ships the lead's precomputed
-        ``{replica: [(uid, amount), ...]}`` grouping — one entry per
-        (replica, client) pair in the batch — which a coalescing client
-        turns directly into one aggregate download per source replica.
-        Old-style payloads (without it) stay valid; the client regroups
-        locally.
-        """
-        payload = {"batch": batch_id, "shares": shares}
-        if by_replica is not None:
-            payload["by_replica"] = by_replica
-        self.endpoint.send(client, Ports.ASSIGN, MsgKind.ASSIGN,
-                           payload=payload, size=1e-4)
-
     def shutdown(self) -> None:
         """Stop this server's processes (crash or end of run)."""
         if self._listener.is_alive:

@@ -6,7 +6,8 @@ with the configured algorithm (LDDM / CDPSM / Round-Robin) until every
 request in the trace has been served.  Returns an
 :class:`~repro.metrics.report.ExperimentResult` with per-replica energy
 and cost, the makespan, and per-request response times — the raw material
-for Figs. 3, 4, 6, 7, 8 and 9.
+for Figs. 3, 4, 6, 7, 8 and 9.  The batching loop itself is
+:class:`BatchingRuntime`, which Fig. 9's DONAR runtime shares.
 
 Harness notes (see DESIGN.md §5): clients broadcast requests to all live
 replicas exactly as in the paper; the *lead* (first live) replica's intake
@@ -26,10 +27,10 @@ import numpy as np
 
 from repro.baselines.round_robin import RoundRobinScheduler
 from repro.cluster.datacenter import ReplicaSite
-from repro.cluster.node import ReplicaNode
+from repro.cluster.node import NodeActivity, ReplicaNode
 from repro.cluster.pdu import PowerSampler
 from repro.cluster.power import SYSTEMG_POWER_MODEL, PowerModel
-from repro.cluster.pricing import PriceSchedule
+from repro.cluster.pricing import JOULES_PER_KWH, PriceSchedule
 from repro.core.params import (
     PAPER_ALPHA,
     PAPER_BETA,
@@ -47,6 +48,7 @@ from repro.core.warmstart import (
 from repro.edr.client import ClientAgent
 from repro.edr.coordinator import ShardCoordinator, ShardingConfig
 from repro.edr.membership import HeartbeatProtocol, MembershipRing
+from repro.edr.messages import MsgKind, Ports
 from repro.edr.scheduler import DistributedSolveSession, SolveTimingModel
 from repro.edr.server import ReplicaServer
 from repro.errors import SimulationError, ValidationError
@@ -58,10 +60,10 @@ from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.obs import NULL_RECORDER
 from repro.sim.engine import Simulator
-from repro.workload.requests import RequestTrace
+from repro.workload.requests import Request, RequestTrace
 
 __all__ = ["SolverOptions", "NetConfig", "FaultConfig", "RuntimeConfig",
-           "EDRSystem"]
+           "BatchingRuntime", "EDRSystem"]
 
 
 #: Capacity of the cross-batch warm-start cache (converged allocations
@@ -284,15 +286,26 @@ class RuntimeConfig:
         return np.asarray(self.prices, dtype=float)
 
 
-class EDRSystem:
-    """One fully wired runtime scenario."""
+class BatchingRuntime:
+    """The batching loop: intake -> capacity chunks -> decide -> announce.
 
-    def __init__(self, trace: RequestTrace, config: RuntimeConfig | None = None,
+    Shared by :class:`EDRSystem` and
+    :class:`~repro.edr.donar_runtime.DonarRuntime`.  The base wires the
+    simulator, the LAN (replicas, then ``extra_nodes``, then clients),
+    the network and the flow manager.  A subclass wires its own agents,
+    then starts the trace's clients (:meth:`_start_clients`) and the
+    epoch driver (:meth:`_start_driver`) in the order its simulator
+    processes must start; its intake appends requests to ``_batch``, and
+    its ``_decide(chunk)`` generator spends the decision's simulated
+    time and ends in :meth:`_announce`.
+    """
+
+    def __init__(self, trace: RequestTrace, config: RuntimeConfig | None,
                  n_replicas: int | None = None,
-                 topology: Topology | None = None) -> None:
+                 topology: Topology | None = None,
+                 extra_nodes: Sequence[str] = ()) -> None:
         self.config = config or RuntimeConfig()
         cfg = self.config
-        opts = cfg.solver
         self.recorder = cfg.recorder if cfg.recorder is not None \
             else NULL_RECORDER
         self.trace = trace
@@ -304,9 +317,9 @@ class EDRSystem:
         if not self.client_names:
             raise ValidationError("trace has no requests")
 
-        # -- substrate ------------------------------------------------------
         self.sim = Simulator()
-        all_nodes = self.replica_names + self.client_names
+        all_nodes = self.replica_names + list(extra_nodes) \
+            + self.client_names
         if topology is not None:
             self.topology = topology
         elif cfg.net.bandwidths is None:
@@ -318,7 +331,7 @@ class EDRSystem:
             lat = np.full((n_all, n_all), float(cfg.net.lan_latency))
             np.fill_diagonal(lat, 0.0)
             caps = np.concatenate([cfg.replica_bandwidths(),
-                                   np.full(len(self.client_names),
+                                   np.full(n_all - n_rep,
                                            float(cfg.net.bandwidth))])
             self.topology = Topology(all_nodes, lat, caps)
         self.network = Network(self.sim, self.topology,
@@ -327,6 +340,164 @@ class EDRSystem:
                                  crashed=self.network.is_crashed,
                                  kernel=cfg.net.flow_kernel,
                                  recorder=self.recorder)
+        self.stats = ResponseTimeStats()
+        self._batch: list[dict] = []
+        self._batches = 0
+        self._delivered_mb = 0.0
+
+    def _start_clients(self, live_replicas, on_transfer_event=None) -> None:
+        """One :class:`ClientAgent` per trace client; each broadcasts its
+        requests to ``live_replicas()``."""
+        by_client = {c: [] for c in self.client_names}
+        for req in self.trace:
+            by_client[req.client].append(req)
+        self.clients: dict[str, ClientAgent] = {
+            cname: ClientAgent(
+                self.sim, self.network, self.flows, cname,
+                by_client[cname], live_replicas=live_replicas,
+                stats=self.stats, on_transfer_event=on_transfer_event,
+                on_delivered=self._on_delivered,
+                coalesce=self.config.net.coalesce, recorder=self.recorder)
+            for cname in self.client_names}
+
+    def _start_driver(self) -> None:
+        self._driver = self.sim.process(self._drive())
+
+    def _on_delivered(self, _client: str, mb: float) -> None:
+        self._delivered_mb += mb
+
+    def _live(self) -> list[str]:
+        """Replicas a decision may load, in ring order."""
+        return self.replica_names
+
+    def _live_bandwidths(self) -> np.ndarray:
+        """NIC capacities of the live replicas, in ring order."""
+        bw = self.config.replica_bandwidths()
+        return np.array([bw[self.replica_names.index(r)]
+                         for r in self._live()])
+
+    def _sub_batches(self, batch: list[dict]) -> list[list[dict]]:
+        """Split a batch so each chunk's demand fits live capacity."""
+        live_bw = self._live_bandwidths()
+        cap = self.config.batch_capacity_fraction \
+            * float(live_bw.sum() if live_bw.size else
+                    self.config.net.bandwidth)
+        chunks: list[list[dict]] = []
+        current: list[dict] = []
+        load = 0.0
+        for item in batch:
+            if current and load + item["size"] > cap:
+                chunks.append(current)
+                current, load = [], 0.0
+            current.append(item)
+            load += item["size"]
+        if current:
+            chunks.append(current)
+        return chunks
+
+    @staticmethod
+    def _chunk_demands(chunk: list[dict]
+                       ) -> tuple[list[str], dict[str, float]]:
+        """A chunk's clients, sorted, and each one's summed request sizes."""
+        demands: dict[str, float] = {}
+        for item in chunk:
+            demands[item["client"]] = demands.get(item["client"], 0.0) \
+                + item["size"]
+        return sorted(demands), demands
+
+    @staticmethod
+    def _shares_per_request(chunk, clients, demands, allocation, live,
+                            min_frac: float) -> dict[str, dict]:
+        """Split per-client allocations back to per-request shares.
+
+        Shares smaller than ``min_frac`` of the request are dropped and
+        their mass redistributed proportionally over the kept replicas
+        (``0.0`` keeps every share).
+        """
+        out: dict[str, dict] = {}
+        for item in chunk:
+            c_idx = clients.index(item["client"])
+            frac = item["size"] / demands[item["client"]]
+            raw = {live[n]: float(allocation[c_idx, n]) * frac
+                   for n in range(len(live))
+                   if allocation[c_idx, n] * frac > 1e-12}
+            total = sum(raw.values())
+            kept = {r: v for r, v in raw.items()
+                    if v >= min_frac * item["size"]}
+            if not kept:  # degenerate: keep the single largest share
+                best = max(raw, key=raw.get)
+                kept = {best: raw[best]}
+            scale = total / sum(kept.values())
+            shares = {r: v * scale for r, v in kept.items()}
+            out[item["uid"]] = {"client": item["client"], "shares": shares}
+        return out
+
+    # -- the epoch driver ---------------------------------------------------------
+    def _drive(self):
+        cfg = self.config
+        total_mb = self.trace.total_mb()
+        while True:
+            if self._batch:
+                batch, self._batch = self._batch, []
+                for chunk in self._sub_batches(batch):
+                    yield from self._decide(chunk)
+                continue
+            done = (self.stats.pending == 0
+                    and len(self.flows.active) == 0
+                    and self._delivered_mb >= total_mb - 1e-6
+                    and all(not c._issuer.is_alive
+                            for c in self.clients.values()))
+            if done:
+                return
+            yield self.sim.timeout(cfg.poll_interval)
+
+    def _announce(self, assignments: dict, sender: str) -> None:
+        """Send a chunk's ASSIGN decisions from node ``sender``."""
+        self._batches += 1
+        if self.recorder.enabled:
+            self.recorder.count("runtime.batches")
+        endpoint = self.network.endpoint(sender)
+        per_client: dict[str, dict] = {}
+        for uid, entry in assignments.items():
+            per_client.setdefault(entry["client"], {})[uid] = entry["shares"]
+        for cname, shares in per_client.items():
+            payload = {"batch": self._batches, "shares": shares}
+            if self.config.net.coalesce:
+                # Pre-group per source replica: the client opens one
+                # aggregate download per entry.
+                by_replica: dict[str, list] = {}
+                for uid, req_shares in shares.items():
+                    for replica, amount in req_shares.items():
+                        if amount > 0:
+                            by_replica.setdefault(replica, []).append(
+                                (uid, amount))
+                payload["by_replica"] = by_replica
+            endpoint.send(cname, Ports.ASSIGN, MsgKind.ASSIGN,
+                          payload=payload, size=1e-4)
+
+    def _run_to_completion(self) -> None:
+        """Step until the driver finishes, within ``horizon``."""
+        cfg = self.config
+        # Background processes (PDUs, heartbeats) tick forever, so a
+        # plain sim.run() would never drain the queue.
+        while not self._driver.processed and self.sim.peek() <= cfg.horizon:
+            self.sim.step()
+        if not self._driver.triggered:
+            raise SimulationError(
+                f"run did not complete within horizon={cfg.horizon}s "
+                f"(delivered {self._delivered_mb:.1f} MB of "
+                f"{self.trace.total_mb():.1f})")
+
+
+class EDRSystem(BatchingRuntime):
+    """One fully wired runtime scenario."""
+
+    def __init__(self, trace: RequestTrace, config: RuntimeConfig | None = None,
+                 n_replicas: int | None = None,
+                 topology: Topology | None = None) -> None:
+        super().__init__(trace, config, n_replicas, topology)
+        cfg = self.config
+        opts = cfg.solver
         self.faults = FaultInjector(self.sim, self.network, self.flows,
                                     on_restore=self._on_node_restored)
 
@@ -354,31 +525,15 @@ class EDRSystem:
                 timeout=cfg.faults.hb_timeout)
 
         # -- agents -------------------------------------------------------------
-        self._batch: list[dict] = []
         self.servers: dict[str, ReplicaServer] = {}
         for name in self.replica_names:
             server = ReplicaServer(self.sim, self.network, self.nodes[name],
                                    on_request=self._on_request)
             self.servers[name] = server
             self.faults.register_process(name, server._listener)
-        self.stats = ResponseTimeStats()
-        by_client = {c: [] for c in self.client_names}
-        for req in trace:
-            by_client[req.client].append(req)
-        self.clients: dict[str, ClientAgent] = {}
-        self._delivered_mb = 0.0
         self._transferred_mb: dict[str, float] = {}
-        for cname in self.client_names:
-            self.clients[cname] = ClientAgent(
-                self.sim, self.network, self.flows, cname,
-                by_client[cname], live_replicas=lambda: self.ring.live,
-                stats=self.stats,
-                on_transfer_event=self._on_transfer_event,
-                on_delivered=self._on_delivered,
-                coalesce=cfg.net.coalesce, recorder=self.recorder)
-        # Crash hook: when the network declares a node crashed, take it off
-        # the ring immediately unless heartbeats are doing the detection.
-        self._batches_solved = 0
+        self._start_clients(lambda: self.ring.live,
+                            on_transfer_event=self._on_transfer_event)
         self._solve_time_total = 0.0
         self._solve_iterations = 0
         # Per-replica execution windows (paper accounting: each replica's
@@ -411,16 +566,18 @@ class EDRSystem:
         self._inc_fallback_reasons: dict[str, int] = {}
         self._plane_rounds = 0
         self._plane_migrations = 0
+        # The decision step, chosen once: a static split, a cyclic
+        # one, or a distributed solve.
+        self._decide = {"weighted": self._decide_weighted,
+                        "round_robin": self._decide_round_robin,
+                        }.get(opts.algorithm, self._decide_solver)
         if cfg.faults.standby_after is not None:
-            if cfg.faults.standby_after <= 0:
-                raise ValidationError("standby_after must be positive")
             for name in self.replica_names:
                 self.sim.process(self._standby_watchdog(name))
-        self._driver = self.sim.process(self._drive())
+        self._start_driver()
 
     def _standby_watchdog(self, name: str):
         """Drop ``name`` into standby after a sustained idle stretch."""
-        from repro.cluster.node import NodeActivity
         node = self.nodes[name]
         timeout = self.config.faults.standby_after
         idle_since = self.sim.now
@@ -466,45 +623,16 @@ class EDRSystem:
             if self._rr_sched is not None:
                 self._rr_sched.release(replica, size_mb)
 
-    def _on_delivered(self, _client: str, mb: float) -> None:
-        self._delivered_mb += mb
+    def _live(self) -> list[str]:
+        return self.ring.live
 
     # -- batching --------------------------------------------------------------
-    def _live_bandwidths(self) -> np.ndarray:
-        """NIC capacities of the live replicas, in ring order."""
-        bw = self.config.replica_bandwidths()
-        return np.array([bw[self.replica_names.index(r)]
-                         for r in self.ring.live])
-
-    def _sub_batches(self, batch: list[dict]) -> list[list[dict]]:
-        """Split a batch so each chunk's demand fits live capacity."""
-        live_bw = self._live_bandwidths()
-        cap = self.config.batch_capacity_fraction \
-            * float(live_bw.sum() if live_bw.size else
-                    self.config.net.bandwidth)
-        chunks: list[list[dict]] = []
-        current: list[dict] = []
-        load = 0.0
-        for item in batch:
-            if current and load + item["size"] > cap:
-                chunks.append(current)
-                current, load = [], 0.0
-            current.append(item)
-            load += item["size"]
-        if current:
-            chunks.append(current)
-        return chunks
-
     def _build_problem(self, chunk: list[dict]
                        ) -> tuple[ReplicaSelectionProblem, list[str], dict]:
         """Problem instance over the chunk's clients and live replicas."""
         cfg = self.config
         live = self.ring.live
-        demands: dict[str, float] = {}
-        for item in chunk:
-            demands[item["client"]] = demands.get(item["client"], 0.0) \
-                + item["size"]
-        clients = sorted(demands)
+        clients, demands = self._chunk_demands(chunk)
         mask = self.topology.eligibility(clients, live, cfg.net.max_latency)
         now_prices = cfg.prices_at(self.sim.now)
         data = ProblemData(
@@ -514,213 +642,177 @@ class EDRSystem:
             alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, mask=mask)
         return ReplicaSelectionProblem(data), clients, demands
 
-    def _shares_per_request(self, chunk, clients, demands,
-                            allocation, live) -> dict[str, dict]:
-        """Split per-client allocations back to per-request shares.
-
-        Shares smaller than ``min_share_fraction`` of the request are
-        dropped and their mass redistributed proportionally over the kept
-        replicas (see :class:`RuntimeConfig`).
-        """
-        min_frac = self.config.net.min_share_fraction
-        out: dict[str, dict] = {}
-        for item in chunk:
-            c_idx = clients.index(item["client"])
-            frac = item["size"] / demands[item["client"]]
-            raw = {live[n]: float(allocation[c_idx, n]) * frac
-                   for n in range(len(live))
-                   if allocation[c_idx, n] * frac > 1e-12}
-            total = sum(raw.values())
-            kept = {r: v for r, v in raw.items()
-                    if v >= min_frac * item["size"]}
-            if not kept:  # degenerate: keep the single largest share
-                best = max(raw, key=raw.get)
-                kept = {best: raw[best]}
-            scale = total / sum(kept.values())
-            shares = {r: v * scale for r, v in kept.items()}
-            out[item["uid"]] = {"client": item["client"], "shares": shares}
-        return out
-
-    # -- the epoch driver ---------------------------------------------------------
-    def _drive(self):
+    # -- the decision step (one of three, bound in __init__) -------------------
+    def _decide_weighted(self, chunk: list[dict]):
+        """Static proportional split: every request divided by the fixed
+        weights over its *eligible* replicas.  One RTT of decision
+        latency, like round-robin."""
         cfg = self.config
-        total_mb = self.trace.total_mb()
-        while True:
-            if self._batch:
-                batch, self._batch = self._batch, []
-                for chunk in self._sub_batches(batch):
-                    yield from self._schedule_chunk(chunk)
-                continue
-            done = (self.stats.pending == 0
-                    and len(self.flows.active) == 0
-                    and self._delivered_mb >= total_mb - 1e-6
-                    and all(not c._issuer.is_alive
-                            for c in self.clients.values()))
-            if done:
-                return
-            yield self.sim.timeout(cfg.poll_interval)
+        live = self.ring.live
+        yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
+        w_all = np.asarray(cfg.solver.weights, dtype=float)
+        assignments = {}
+        for item in chunk:
+            elig = self.topology.eligibility(
+                [item["client"]], live, cfg.net.max_latency)[0]
+            w = np.array([w_all[self.replica_names.index(r)]
+                          for r in live]) * elig
+            if w.sum() <= 0:
+                w = elig.astype(float)
+            if w.sum() <= 0:
+                # No eligible live replica at all (every replica within the
+                # latency bound is dead): fail over to the nearest live one
+                # rather than divide by zero into NaN shares that corrupt
+                # transfer accounting.
+                nearest = int(np.argmin([
+                    self.topology.latency(item["client"], r)
+                    for r in live]))
+                w = np.zeros(len(live))
+                w[nearest] = 1.0
+            w = w / w.sum()
+            assignments[item["uid"]] = {
+                "client": item["client"],
+                "shares": {live[n]: float(w[n] * item["size"])
+                           for n in range(len(live)) if w[n] > 0}}
+        self._announce(assignments, self.lead())
 
-    def _schedule_chunk(self, chunk: list[dict]):
+    def _decide_round_robin(self, chunk: list[dict]):
+        """Per-request cyclic assignment; one RTT of decision latency.
+
+        The scheduler persists across batches (cursor + commitments) but
+        is rebuilt if the live replica set changed.
+        """
+        cfg = self.config
+        live = self.ring.live
+        if self._rr_sched is None or self._rr_sched.replicas != live:
+            self._rr_sched = RoundRobinScheduler(
+                live, self._live_bandwidths(),
+                eligibility={
+                    c: self.topology.eligibility(
+                        [c], live, cfg.net.max_latency)[0]
+                    for c in self.client_names})
+        sched = self._rr_sched
+        yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
+        assignments = {}
+        for item in chunk:
+            replica = sched.assign(Request(
+                client=item["client"], arrival=self.sim.now,
+                size_mb=item["size"], app="runtime"))
+            assignments[item["uid"]] = {
+                "client": item["client"],
+                "shares": {replica: item["size"]}}
+        self._announce(assignments, self.lead())
+
+    def _decide_solver(self, chunk: list[dict]):
+        """A distributed LDDM / CDPSM session over the chunk, or an event
+        plane absorb when the chunk is small and the plane is current."""
         cfg = self.config
         opts = cfg.solver
         live = self.ring.live
         problem, clients, demands = self._build_problem(chunk)
-        if opts.algorithm == "weighted":
-            # Static proportional split: every request divided by the
-            # fixed weights over its *eligible* replicas.  One RTT of
-            # decision latency, like round-robin.
-            yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
-            w_all = np.asarray(opts.weights, dtype=float)
-            assignments = {}
-            for item in chunk:
-                elig = self.topology.eligibility(
-                    [item["client"]], live, cfg.net.max_latency)[0]
-                w = np.array([w_all[self.replica_names.index(r)]
-                              for r in live]) * elig
-                if w.sum() <= 0:
-                    w = elig.astype(float)
-                if w.sum() <= 0:
-                    # No eligible live replica at all (every replica
-                    # within the latency bound is dead): fail over to the
-                    # nearest live one rather than divide by zero into
-                    # NaN shares that corrupt transfer accounting.
-                    nearest = int(np.argmin([
-                        self.topology.latency(item["client"], r)
-                        for r in live]))
-                    w = np.zeros(len(live))
-                    w[nearest] = 1.0
-                w = w / w.sum()
-                assignments[item["uid"]] = {
-                    "client": item["client"],
-                    "shares": {live[n]: float(w[n] * item["size"])
-                               for n in range(len(live)) if w[n] > 0}}
-        elif opts.algorithm == "round_robin":
-            # Per-request cyclic assignment; one RTT of decision latency.
-            # The scheduler persists across batches (cursor + commitments)
-            # but is rebuilt if the live replica set changed.
-            if self._rr_sched is None or self._rr_sched.replicas != live:
-                self._rr_sched = RoundRobinScheduler(
-                    live, self._live_bandwidths(),
-                    eligibility={
-                        c: self.topology.eligibility(
-                            [c], live, cfg.net.max_latency)[0]
-                        for c in self.client_names})
-            sched = self._rr_sched
-            yield self.sim.timeout(2 * cfg.net.lan_latency + 1e-4)
-            assignments = {}
-            for item in chunk:
-                from repro.workload.requests import Request
-                replica = sched.assign(Request(
-                    client=item["client"], arrival=self.sim.now,
-                    size_mb=item["size"], app="runtime"))
-                assignments[item["uid"]] = {
-                    "client": item["client"],
-                    "shares": {replica: item["size"]}}
+        # Runtime defaults: bounded iteration budgets keep per-batch
+        # decision latency in the paper's sub-200 ms regime (constant steps
+        # reach a good neighborhood quickly; exact convergence is not
+        # worth the decision latency at runtime).
+        kwargs = {"max_iter": 150, "tol": 1e-3} \
+            if opts.algorithm == "lddm" else {"max_iter": 100, "tol": 1e-4}
+        # Class-space reduction: the solver (and the warm-start cache) see
+        # one row per distinct eligibility pattern instead of one per
+        # client; cache entries are keyed by the classes' packed mask
+        # tokens, which outlive any particular client set.
+        agg = problem.aggregated() if opts.aggregate else None
+        # Event plane: a small sub-batch is a per-class demand delta on
+        # the plane's rows — apply it on the lead (one RTT + O(K*N)
+        # compute) instead of a batch solve.  The plane is keyed to (live,
+        # prices) exactly like a warm cache entry; any decline takes the
+        # batch path, which re-arms it.
+        plane_key = (tuple(live), problem.data.u.tobytes())
+        if (self._plane is not None and self._plane_key == plane_key
+                and len(clients) <= opts.incremental_max_clients):
+            result = self._plane.retarget(
+                list(agg.structure.keys), agg.structure.masks,
+                agg.structure.demands)
+            if result.ok:
+                yield from self._absorb_chunk(
+                    chunk, clients, demands, problem, agg, live, result)
+                return
+            reason = result.fallback_reason
+            self._inc_fallback_reasons[reason] = \
+                self._inc_fallback_reasons.get(reason, 0) + 1
+            if self.recorder.enabled:
+                self.recorder.count("incremental.fallback", reason=reason)
+        solve_problem = problem if agg is None else agg.problem
+        warm_tokens = clients if agg is None else list(agg.structure.keys)
+        warm_mask = solve_problem.data.mask
+        initial = mu0 = None
+        if opts.warm_start:
+            if tuple(live) != self._warm_live:
+                # Membership changed (death or rejoin): every cached
+                # allocation is stale — flush and cold start.
+                if len(self._warm_cache) and self.recorder.enabled:
+                    self.recorder.count("warmstart.invalidation")
+                self._warm_cache.invalidate()
+                self._warm_budget.reset()
+                self._warm_live = tuple(live)
+            entry = self._warm_cache.lookup(live, problem.data.u)
+            if entry is not None:
+                initial = project_warm_start(entry, solve_problem, warm_tokens)
+                if opts.algorithm == "lddm":
+                    mu0 = recover_mu(solve_problem, initial)
+        warm = initial is not None
+        base_iter = int(kwargs["max_iter"])
+        if opts.warm_start:
+            kwargs["max_iter"] = self._warm_budget.budget(base_iter, warm)
+        session = DistributedSolveSession(
+            self.sim, self.network, problem, live, clients,
+            opts.algorithm, nodes=self.nodes, timing=opts.timing,
+            aggregation=agg, initial=initial, mu0=mu0,
+            recorder=self.recorder, **kwargs)
+        yield from session.run()
+        self._solve_time_total += session.duration
+        self._solve_iterations += session.iterations
+        if warm:
+            self._warm_solves += 1
         else:
-            # Runtime defaults: bounded iteration budgets keep per-batch
-            # decision latency in the paper's sub-200 ms regime (constant
-            # steps reach a good neighborhood quickly; exact convergence
-            # is not worth the decision latency at runtime).
-            kwargs = {"max_iter": 150, "tol": 1e-3} \
-                if opts.algorithm == "lddm" else {"max_iter": 100, "tol": 1e-4}
-            # Class-space reduction: the solver (and the warm-start cache)
-            # see one row per distinct eligibility pattern instead of one
-            # per client; cache entries are keyed by the classes' packed
-            # mask tokens, which outlive any particular client set.
-            agg = problem.aggregated() if opts.aggregate else None
-            # Event plane: a small sub-batch is a per-class demand delta
-            # on the plane's rows — apply it on the lead (one RTT +
-            # O(K*N) compute) instead of a batch solve.  The plane is
-            # keyed to (live, prices) exactly like a warm cache entry;
-            # any decline takes the batch path, which re-arms it.
-            plane_key = (tuple(live), problem.data.u.tobytes())
-            if (self._plane is not None and self._plane_key == plane_key
-                    and len(clients) <= opts.incremental_max_clients):
-                result = self._plane.retarget(
-                    list(agg.structure.keys), agg.structure.masks,
-                    agg.structure.demands)
-                if result.ok:
-                    yield from self._absorb_chunk(
-                        chunk, clients, demands, problem, agg, live, result)
-                    return
-                reason = result.fallback_reason
-                self._inc_fallback_reasons[reason] = \
-                    self._inc_fallback_reasons.get(reason, 0) + 1
-                if self.recorder.enabled:
-                    self.recorder.count("incremental.fallback",
-                                        reason=reason)
-            solve_problem = problem if agg is None else agg.problem
-            warm_tokens = clients if agg is None else list(agg.structure.keys)
-            warm_mask = solve_problem.data.mask
-            initial = mu0 = None
-            if opts.warm_start:
-                if tuple(live) != self._warm_live:
-                    # Membership changed (death or rejoin): every cached
-                    # allocation is stale — flush and cold start.
-                    if len(self._warm_cache) and self.recorder.enabled:
-                        self.recorder.count("warmstart.invalidation")
-                    self._warm_cache.invalidate()
-                    self._warm_budget.reset()
-                    self._warm_live = tuple(live)
-                entry = self._warm_cache.lookup(live, problem.data.u)
-                if entry is not None:
-                    initial = project_warm_start(entry, solve_problem,
-                                                 warm_tokens)
-                    if opts.algorithm == "lddm":
-                        mu0 = recover_mu(solve_problem, initial)
-            warm = initial is not None
-            base_iter = int(kwargs["max_iter"])
-            if opts.warm_start:
-                kwargs["max_iter"] = self._warm_budget.budget(base_iter, warm)
-            session = DistributedSolveSession(
-                self.sim, self.network, problem, live, clients,
-                opts.algorithm, nodes=self.nodes, timing=opts.timing,
-                aggregation=agg, initial=initial, mu0=mu0,
-                recorder=self.recorder, **kwargs)
-            yield from session.run()
-            self._solve_time_total += session.duration
-            self._solve_iterations += session.iterations
-            if warm:
-                self._warm_solves += 1
-            else:
-                self._cold_solves += 1
-            rec = self.recorder
-            if rec.enabled:
-                rec.count("warmstart.hit" if warm else "warmstart.miss")
-                rec.event(
-                    "runtime.batch", sim_time=self.sim.now,
-                    algorithm=opts.algorithm, n_requests=len(chunk),
-                    n_clients=len(clients),
-                    n_classes=None if agg is None else agg.n_classes,
-                    iterations=session.iterations,
-                    converged=session.converged, warm_started=warm,
-                    solve_sim_s=session.duration)
-            if opts.warm_start:
-                self._warm_budget.observe(
-                    session.iterations, int(kwargs["max_iter"]),
-                    session.converged, warm)
-                self._warm_cache.store(
-                    live, problem.data.u, warm_tokens,
-                    session.solver_allocation, warm_mask,
-                    mu=session.final_mu,
-                    iterations=session.iterations,
-                    converged=session.converged)
-            for r in live:  # every live replica worked through the solve
-                self._busy_end[r] = max(self._busy_end[r], self.sim.now)
-            assignments = self._shares_per_request(
-                chunk, clients, demands, session.allocation, live)
-            if self._plane_cfg is not None:
-                # Arm the plane with the session's class rows; later
-                # small sub-batches at the same key retarget them.
-                if self._plane is not None:
-                    self._plane_migrations += self._plane.migrations
-                    self._plane.close()
-                self._plane = ShardCoordinator(
-                    agg.problem.data, list(agg.structure.keys),
-                    self._plane_cfg, allocation=session.solver_allocation,
-                    recorder=self.recorder)
-                self._plane_key = plane_key
-        self._announce(assignments)
+            self._cold_solves += 1
+        rec = self.recorder
+        if rec.enabled:
+            rec.count("warmstart.hit" if warm else "warmstart.miss")
+            rec.event(
+                "runtime.batch", sim_time=self.sim.now,
+                algorithm=opts.algorithm, n_requests=len(chunk),
+                n_clients=len(clients),
+                n_classes=None if agg is None else agg.n_classes,
+                iterations=session.iterations,
+                converged=session.converged, warm_started=warm,
+                solve_sim_s=session.duration)
+        if opts.warm_start:
+            self._warm_budget.observe(
+                session.iterations, int(kwargs["max_iter"]),
+                session.converged, warm)
+            self._warm_cache.store(
+                live, problem.data.u, warm_tokens,
+                session.solver_allocation, warm_mask,
+                mu=session.final_mu,
+                iterations=session.iterations,
+                converged=session.converged)
+        for r in live:  # every live replica worked through the solve
+            self._busy_end[r] = max(self._busy_end[r], self.sim.now)
+        assignments = self._shares_per_request(
+            chunk, clients, demands, session.allocation, live,
+            cfg.net.min_share_fraction)
+        if self._plane_cfg is not None:
+            # Arm the plane with the session's class rows; later small
+            # sub-batches at the same key retarget them.
+            if self._plane is not None:
+                self._plane_migrations += self._plane.migrations
+                self._plane.close()
+            self._plane = ShardCoordinator(
+                agg.problem.data, list(agg.structure.keys),
+                self._plane_cfg, allocation=session.solver_allocation,
+                recorder=self.recorder)
+            self._plane_key = plane_key
+        self._announce(assignments, self.lead())
 
     def _absorb_chunk(self, chunk, clients, demands, problem, agg, live,
                       result):
@@ -762,32 +854,8 @@ class EDRSystem:
                 events=result.events, sweeps=result.sweeps,
                 rounds=result.rounds, solve_sim_s=delay)
         self._announce(self._shares_per_request(
-            chunk, clients, demands, agg.structure.expand_rows(rows), live))
-
-    def _announce(self, assignments: dict) -> None:
-        """Send a chunk's ASSIGN decisions from the lead replica."""
-        self._batches_solved += 1
-        if self.recorder.enabled:
-            self.recorder.count("runtime.batches")
-        lead_server = self.servers[self.lead()]
-        per_client: dict[str, dict] = {}
-        for uid, entry in assignments.items():
-            per_client.setdefault(entry["client"], {})[uid] = entry["shares"]
-        coalesce = self.config.net.coalesce
-        for cname, shares in per_client.items():
-            by_replica = None
-            if coalesce:
-                # Pre-group per source replica at the lead: the client
-                # opens one aggregate download per entry.
-                by_replica = {}
-                for uid, req_shares in shares.items():
-                    for replica, amount in req_shares.items():
-                        if amount <= 0:
-                            continue
-                        by_replica.setdefault(replica, []).append(
-                            (uid, amount))
-            lead_server.send_assignment(cname, shares, self._batches_solved,
-                                        by_replica=by_replica)
+            chunk, clients, demands, agg.structure.expand_rows(rows), live,
+            cfg.net.min_share_fraction), self.lead())
 
     # -- running ---------------------------------------------------------------------
     def crash_replica(self, name: str, at: float) -> None:
@@ -822,15 +890,7 @@ class EDRSystem:
     def run(self, app: str = "unknown") -> ExperimentResult:
         """Run to completion; returns the measured result."""
         cfg = self.config
-        # Step until the driver finishes; PDUs/heartbeats tick forever, so
-        # a plain run() would never drain the queue.
-        while not self._driver.processed and self.sim.peek() <= cfg.horizon:
-            self.sim.step()
-        if not self._driver.triggered:
-            raise SimulationError(
-                f"run did not complete within horizon={cfg.horizon}s "
-                f"(delivered {self._delivered_mb:.1f} MB of "
-                f"{self.trace.total_mb():.1f})")
+        self._run_to_completion()
         makespan = self.sim.now
         for site in self.sites:
             site.meter.stop()
@@ -840,7 +900,6 @@ class EDRSystem:
             # Release the worker fleet's executors and shared memory;
             # the coordinator itself stays warm for a follow-up run.
             self._plane.close()
-        from repro.cluster.pricing import JOULES_PER_KWH
         # Paper accounting: integrate each replica's power over its own
         # execution window [0, busy_end] — a replica is "done" when it has
         # finished its selection work and its assigned transfers.
@@ -867,7 +926,7 @@ class EDRSystem:
             extras={
                 "messages": self.network.messages_sent,
                 "comm_mb": self.network.mb_sent,
-                "batches": self._batches_solved,
+                "batches": self._batches,
                 "solve_time": self._solve_time_total,
                 "solve_iterations": self._solve_iterations,
                 "warm_solves": self._warm_solves,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.edr.coordinator import ShardingConfig
-from repro.edr.donar_runtime import DonarRuntime, DonarRuntimeConfig
+from repro.edr.donar_runtime import DonarRuntime
 from repro.edr.system import EDRSystem, RuntimeConfig, SolverOptions
 from repro.errors import ValidationError
 from repro.experiments.parallel import parallel_map
@@ -101,8 +101,8 @@ def run_point(point: int | tuple, recorder=None) -> dict:
                              sharding=shard_cfg),
         prices=FIG9_PRICES, batch_capacity_fraction=0.35,
         recorder=recorder)).run(app="dfs")
-    donar = DonarRuntime(trace, DonarRuntimeConfig(
-        n_replicas=3, n_mapping_nodes=3)).run(app="dfs")
+    donar = DonarRuntime(trace, RuntimeConfig(prices=FIG9_PRICES)
+                         ).run(app="dfs")
     return {
         "count": int(count),
         "edr_mean": edr.mean_response,

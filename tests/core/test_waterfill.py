@@ -8,6 +8,7 @@
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,10 +35,13 @@ def relative(value, ref):
 
 def sweep_alone(problem):
     """The best-response sweep with no certificate: a one-shard plane
-    over the client rows, exchange rounds to its residual."""
+    over the client rows, exchange rounds to its residual, with the
+    coordinator's certify-and-re-lay step (``_settle``) switched off."""
     tokens = [i.to_bytes(4, "little") for i in range(problem.data.n_clients)]
-    with ShardCoordinator(problem.data, tokens,
-                          ShardingConfig(n_shards=1)) as coord:
+    with mock.patch.object(ShardCoordinator, "_settle",
+                           lambda self, resid, tol=None: resid), \
+            ShardCoordinator(problem.data, tokens,
+                             ShardingConfig(n_shards=1)) as coord:
         res = coord.solve()
         return res, coord.class_snapshot()[3]
 

@@ -178,13 +178,14 @@ class TestConvergence:
         short = agg.structure.demands - coord.rows_for(tokens).sum(axis=1)
         assert short.max() > 0.5
 
-    @pytest.mark.parametrize("factor, stalled_at", [
-        (10.0, None), (50.0, 0.894), (100.0, 0.973)])
-    def test_damping_stall_is_reported_not_masked(self, factor,
-                                                  stalled_at):
-        # Every class off shard 0 shrinks ``factor``-fold.  Damping only
-        # decays an emptied share by (1 - damping) a round, so from 1/50
-        # on the exchange stalls on shard 0's KKT gap; it must say so.
+    @pytest.mark.parametrize("factor, rounds", [
+        (10.0, 11), (50.0, 28), (100.0, 28)])
+    def test_damping_does_not_stall_an_emptied_share(self, factor, rounds):
+        # Every class off shard 0 shrinks ``factor``-fold, so their best
+        # responses empty columns they loaded.  Blended by the damping,
+        # such a share would only decay by (1 - damping) a round (stuck
+        # at residual 0.89 / 0.97 after 400 rounds from 1/50 on); the
+        # full step for those rows lets the exchange reach ``tol``.
         problem, agg, coord = _make_coord()
         coord.solve()
         tokens = list(agg.structure.keys)
@@ -194,13 +195,8 @@ class TestConvergence:
                        * agg.structure.demands)
         res = coord.solve(max_rounds=400)
         assert res.residual == coord.residual()
-        if stalled_at is None:
-            assert res.converged and res.rounds == 14
-            assert res.residual <= coord.config.tol
-        else:
-            assert not res.converged
-            assert res.rounds == 400
-            assert res.residual == pytest.approx(stalled_at, abs=1e-3)
+        assert res.converged and res.rounds == rounds <= 64
+        assert res.residual <= coord.config.tol
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
     def test_adopts_rows_solved_elsewhere(self, n_shards):
