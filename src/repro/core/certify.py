@@ -77,8 +77,10 @@ def _feasible(data, P: np.ndarray, loads: np.ndarray) -> bool:
         and np.all(P >= -1e-12 * scale))
 
 
-def _column_minima(data, price: np.ndarray) -> np.ndarray:
-    """``min_{s in [0, B]} E_n(s) - s * price_n`` per column, closed form.
+def _column_minima(data, price: np.ndarray,
+                   bg: np.ndarray | float = 0.0) -> np.ndarray:
+    """``min_{s in [0, B - bg]} E_n(bg + s) - s * price_n`` per column,
+    closed form in the column's total load ``y = bg + s``.
 
     A column no positive-demand row can use (``price = -inf``) admits
     nothing.  Linear columns (``gamma == 1`` or ``beta == 0``) take all
@@ -89,30 +91,35 @@ def _column_minima(data, price: np.ndarray) -> np.ndarray:
     m = np.where(live, price, 0.0)
     linear = (g == 1.0) | (b == 0.0)
     slope = u * (a + np.where(g == 1.0, b, 0.0)) - m
-    s_lin = np.where(slope < 0.0, B, 0.0)
+    y_lin = np.where(slope < 0.0, B, bg)
     excess = np.maximum(m - u * a, 0.0)
     denom = np.where(linear, 1.0, u * b * g)
     expo = 1.0 / np.where(linear, 1.0, g - 1.0)
-    s_curve = np.minimum(B, (excess / denom) ** expo)
-    s = np.where(live, np.where(linear, s_lin, s_curve), 0.0)
-    return model.replica_energy(data, s) - s * m
+    y_curve = np.minimum(B, np.maximum((excess / denom) ** expo, bg))
+    y = np.where(live, np.where(linear, y_lin, y_curve), bg)
+    return model.replica_energy(data, y) - (y - bg) * m
 
 
-def certify(problem, rows: np.ndarray) -> Certificate:
+def certify(problem, rows: np.ndarray, *,
+            background: np.ndarray | None = None) -> Certificate:
     """Certify ``rows`` against ``problem`` with the LDDM dual bound.
 
     ``problem`` is a :class:`~repro.core.problem.ReplicaSelectionProblem`
     (or its :class:`~repro.core.params.ProblemData`) — client or class
     space alike — and ``rows`` a (C, N) allocation of it.  Returns a
     :class:`Certificate`; ``gap <= tol`` proves ``rows`` within ``tol``
-    (relative) of the optimum.
+    (relative) of the optimum.  ``background`` is column load the rows
+    do not own (other shards'): the rows are priced at ``background``
+    plus their own loads, within the capacity it leaves, and the primal
+    and bound both count its energy.
     """
     data = getattr(problem, "data", problem)
     P = np.asarray(rows, dtype=float)
     if P.shape != data.mask.shape:
         raise ValidationError("allocation shape mismatch in certify")
     mask = data.mask
-    loads = P.sum(axis=0)
+    bg = 0.0 if background is None else np.maximum(background, 0.0)
+    loads = P.sum(axis=0) + bg
     L = np.maximum(loads, 0.0)
     primal = float(model.replica_energy(data, L).sum())
     marginal = model.load_marginal_cost(data, L)
@@ -149,7 +156,7 @@ def certify(problem, rows: np.ndarray) -> Certificate:
     active = mask & (data.R > 0.0)[:, None]
     price = np.where(active, mu[:, None], -np.inf).max(axis=0,
                                                        initial=-np.inf)
-    dual = float(_column_minima(data, price).sum() + mu @ data.R)
+    dual = float(_column_minima(data, price, bg).sum() + mu @ data.R)
     if not _feasible(data, P, loads):
         gap = math.inf
     elif primal > 0.0:

@@ -31,7 +31,9 @@ The state declines instead of silently degrading — **capacity** (a
 class's demand does not fit its eligible headroom), **drift** (one
 absorb's |class-demand delta| exceeds ``drift_limit`` of the total the
 state was last certified at), **convergence** (the sweep budget ran
-out), **stale** (an earlier decline) — and a caller then solves in full.
+out, or the sweeps stopped short of the optimum on a full column:
+:meth:`~IncrementalState.stalled`), **stale** (an earlier decline) — and
+a caller then solves in full.
 Multipliers are recovered as :func:`repro.core.warmstart.recover_mu`
 does, so that solve can warm-start from the state's rows.
 
@@ -49,6 +51,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.certify import certify
 from repro.core.params import ProblemData
 from repro.core.subproblem import _BISECT_ITERS
 from repro.errors import ValidationError
@@ -63,6 +66,13 @@ _ACTIVE_EPS = 1e-12
 #: A class demand within this many ulps (relative to the larger term of
 #: its update) of zero is rounding left by a cancelling update.
 _CANCEL_EPS = 4.0 * float(np.finfo(float).eps)
+
+#: Relative headroom at or below which a live column counts as full.
+_FULL_RTOL = 1e-9
+
+#: The relative dual-bound gap an absorb's rows must certify to when a
+#: live column is full.
+_STALL_GAP = 1e-6
 
 
 # -- events -------------------------------------------------------------------
@@ -479,6 +489,22 @@ class IncrementalState:
         self.loads = self.Q.sum(axis=0)
         return self.kkt_residual() <= self.kkt_rtol, self.max_sweeps
 
+    def stalled(self) -> bool:
+        """Whether converged sweeps stopped short of the optimum.
+
+        A zero KKT gap is the optimum unless a live column is full:
+        there per-row best response can stall, since moving load off the
+        full column needs a two-row swap no single row's gap sees.  So
+        only then are the rows checked against the LDDM dual bound
+        (:func:`~repro.core.certify.certify`, priced at the background)
+        at ``_STALL_GAP``.
+        """
+        room = self.B - self.background - self.loads
+        if not np.any((self.B > 0.0) & (room <= _FULL_RTOL * self.B)):
+            return False
+        return certify(self.class_data(), self.Q,
+                       background=self.background).gap > _STALL_GAP
+
     # -- client registry -----------------------------------------------------
     @property
     def clients(self) -> Mapping[str, tuple[bytes, float]]:
@@ -593,7 +619,7 @@ class IncrementalState:
             if not self._rebalance_row(k):
                 return self._fallback("capacity")
         converged, sweeps = self.refine()
-        if not converged:
+        if not converged or self.stalled():
             return self._fallback("convergence")
         self._baseline_total = max(float(self.D.sum()), 1e-9)
         self.events_applied += len(changed)

@@ -599,7 +599,9 @@ class ShardCoordinator:
 
         Runs where exchange rounds ran — :meth:`solve` and an update's
         refresh or decline recovery — and nowhere else: an update its
-        shards absorb without rounds is left as the absorb left it.  The
+        shards absorb without rounds is left as the absorb left it (an
+        absorb that stalls on a full column declines, see
+        :meth:`~repro.core.incremental.IncrementalState.stalled`).  The
         residual is not an optimality certificate: the rounds can stop
         above ``tol``, and per-row best response can stall where a
         capacity-bound column couples two rows (moving load then needs a

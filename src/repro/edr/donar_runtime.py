@@ -14,8 +14,10 @@ it shares with EDR: ``prices`` (for the replica count only), ``net``,
 
 The numeric solve runs via :class:`~repro.baselines.donar.DonarSolver`;
 each Gauss-Seidel sweep costs one round of mapping-node aggregate
-exchanges (real messages) plus local computation proportional to the
-batch's client count, exactly parallel to how EDR's sessions are timed.
+exchanges (charged on the network, as EDR's solver rounds are: counted,
+delayed by the slowest pair, never delivered) plus local computation
+proportional to the batch's client count, exactly parallel to how EDR's
+sessions are timed.
 """
 
 from __future__ import annotations
@@ -74,19 +76,17 @@ class DonarRuntime(BatchingRuntime):
         # exchange their per-replica aggregates, then compute locally.
         # The numeric sweeps come from the solver's generator so the
         # simulation timing and the math advance in lockstep.
-        eps = {m: self.network.endpoint(m) for m in self.mapping_names}
         pair_delay = max(
             (self.topology.latency(a, b)
              for a in self.mapping_names for b in self.mapping_names
              if a != b), default=0.0)
         n_floats_mb = len(live) * 8e-6
+        charges = [(src, MsgKind.SOLVE_SYNC, n_floats_mb)
+                   for src in self.mapping_names
+                   for dst in self.mapping_names if src != dst]
 
         def one_round():
-            for src in self.mapping_names:
-                for dst in self.mapping_names:
-                    if src != dst:
-                        eps[src].send(dst, Ports.REPLICA, MsgKind.SOLVE_SYNC,
-                                      size=n_floats_mb)
+            self.network.charge(charges)
             return cfg.solver.timing.iteration_time(len(clients), "donar") \
                 + pair_delay
 

@@ -63,12 +63,16 @@ __all__ = [
 
 
 class Ports:
-    """Logical listener ports on each node (Fig. 2's threads)."""
+    """Logical listener ports on each node (Fig. 2's threads).
+
+    Only traffic some process reads has a port.  Solver coordination
+    (Fig. 2's ReplicaListener traffic: ``SOLVE_SYNC``, ``SOLUTION``,
+    ``MU_UPDATE``) is charged on the network — counted and delayed — and
+    not delivered, so it has none.
+    """
 
     #: ClientListener — new client requests arrive here.
     CLIENT = "client"
-    #: ReplicaListener — solver coordination between replicas.
-    REPLICA = "replica"
     #: Client-side mailbox for scheduling decisions.
     ASSIGN = "assign"
     #: Membership/heartbeat traffic (the fault-tolerance ring).

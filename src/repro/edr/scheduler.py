@@ -4,9 +4,10 @@ The numeric iterations come from the matrix-form solvers
 (:class:`~repro.core.lddm.LddmSolver` / :class:`~repro.core.cdpsm.CdpsmSolver`
 via their ``iterations()`` generators); this module adds what the testbed
 adds on top of the math — per-round communication over the simulated
-network (real messages with real latencies), local computation time, and
-the node activity changes the PDU observes.  The message *pattern* per
-iteration is exactly the paper's: all-pairs replica exchange for CDPSM
+network (every message counted, the round's max latency paid), local
+computation time, and the node activity changes the PDU observes.  The
+message *pattern* per iteration is exactly the paper's: all-pairs
+replica exchange for CDPSM
 (``O(|C||N|^3)`` volume), replica<->client exchange for LDDM
 (``O(|C||N|)``).
 """
@@ -23,7 +24,7 @@ from repro.core.aggregate import AggregatedProblem
 from repro.core.cdpsm import CdpsmSolver
 from repro.core.lddm import LddmSolver
 from repro.core.problem import ReplicaSelectionProblem
-from repro.edr.messages import MsgKind, Ports
+from repro.edr.messages import MsgKind
 from repro.errors import ValidationError
 from repro.net.transport import Network
 from repro.obs import NULL_RECORDER
@@ -43,27 +44,24 @@ class SessionCommPlan:
 
     The message pattern, pairwise delays and sizes are fixed for a
     session's lifetime (the topology is immutable and the participant
-    sets don't change mid-solve), so the endpoint handles, the send list
-    and the round's max delay are all computed once at construction —
-    the old per-iteration rebuild recomputed ``O(C*N)`` latency/capacity
-    lookups on every round.
-
-    ``sends`` holds ``(endpoint, dst, port, kind, size)`` tuples replayed
-    verbatim each round; ``round_delay`` is the constant max one-round
-    coordination delay.
+    sets don't change mid-solve), so the round is computed once at
+    construction.  No process reads solver coordination, so a round is
+    *charged*, not delivered: ``charges`` holds the ``(src, kind, size)``
+    triples :meth:`~repro.net.transport.Network.charge` counts each
+    round; ``round_delay`` is the constant max one-round coordination
+    delay the session's timeout pays; ``round_mb`` is one round's MB.
     """
 
-    sends: tuple
+    charges: tuple
     round_delay: float
+    round_mb: float
 
     @classmethod
     def build(cls, network: Network, algorithm: str,
               replicas: Sequence[str], clients: Sequence[str],
               n_clients: int, n_replicas: int) -> "SessionCommPlan":
         topo = network.topology
-        ep = {name: network.endpoint(name)
-              for name in set(replicas) | set(clients)}
-        sends = []
+        charges = []
         max_delay = 0.0
         if algorithm == "cdpsm":
             # All-pairs solution exchange: C*N floats per message.
@@ -72,8 +70,7 @@ class SessionCommPlan:
                 for dst in replicas:
                     if src == dst:
                         continue
-                    sends.append((ep[src], dst, Ports.REPLICA,
-                                  MsgKind.SOLVE_SYNC, size))
+                    charges.append((src, MsgKind.SOLVE_SYNC, size))
                     delay = topo.latency(src, dst) \
                         + size / min(topo.capacity(src), topo.capacity(dst))
                     max_delay = max(max_delay, delay)
@@ -83,15 +80,14 @@ class SessionCommPlan:
                 for cli in clients:
                     if rep == cli:
                         continue
-                    sends.append((ep[rep], cli, "solve",
-                                  MsgKind.SOLUTION, _FLOAT_MB))
-                    sends.append((ep[cli], rep, Ports.REPLICA,
-                                  MsgKind.MU_UPDATE, _FLOAT_MB))
+                    charges.append((rep, MsgKind.SOLUTION, _FLOAT_MB))
+                    charges.append((cli, MsgKind.MU_UPDATE, _FLOAT_MB))
                     delay = 2 * topo.latency(rep, cli) \
                         + 2 * _FLOAT_MB / min(topo.capacity(rep),
                                               topo.capacity(cli))
                     max_delay = max(max_delay, delay)
-        return cls(sends=tuple(sends), round_delay=max_delay)
+        return cls(charges=tuple(charges), round_delay=max_delay,
+                   round_mb=sum(c[2] for c in charges))
 
 
 @dataclass(frozen=True)
@@ -255,9 +251,8 @@ class DistributedSolveSession:
 
     # -- communication rounds ---------------------------------------------------
     def _round_messages(self) -> float:
-        """Send one iteration's coordination messages; return max delay."""
-        for ep, dst, port, kind, size in self.comm_plan.sends:
-            ep.send(dst, port, kind, payload=None, size=size)
+        """Charge one iteration's coordination messages; return max delay."""
+        self.network.charge(self.comm_plan.charges)
         return self.comm_plan.round_delay
 
     def _set_activity(self, activity: NodeActivity) -> None:
@@ -303,14 +298,14 @@ class DistributedSolveSession:
         rec = self.recorder
         if rec.enabled:
             C, N = self.problem.data.shape
-            round_mb = sum(s[4] for s in self.comm_plan.sends)
+            plan = self.comm_plan
             rec.event(
                 "session.solve", algorithm=self.algorithm, rows=rows,
                 n_clients=C, n_replicas=N, iterations=self.iterations,
                 converged=self.converged, sim_start=start,
                 sim_duration=self.duration,
-                messages=self.iterations * len(self.comm_plan.sends),
-                mb=self.iterations * round_mb,
-                msgs_per_round=len(self.comm_plan.sends),
-                mb_per_round=round_mb)
+                messages=self.iterations * len(plan.charges),
+                mb=self.iterations * plan.round_mb,
+                msgs_per_round=len(plan.charges),
+                mb_per_round=plan.round_mb)
         return self.solver_allocation

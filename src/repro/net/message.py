@@ -21,8 +21,10 @@ class Message:
         Node names.
     port:
         Logical listener the message is addressed to — the EDR server's
-        ``"client"`` (ClientListener) or ``"replica"`` (ReplicaListener)
-        ports, for example.
+        ``"client"`` port (ClientListener) or a client's ``"assign"``
+        port, for example.  Solver coordination is charged on the network
+        (:meth:`~repro.net.transport.Network.charge`), never built as a
+        message.
     kind:
         Application-level message type tag (e.g. ``"REQUEST"``).
     payload:

@@ -3,8 +3,14 @@
 Reliable, ordered-per-pair delivery with one-way propagation latency from
 the :class:`~repro.net.topology.Topology` plus a serialization delay
 ``size / min(src_capacity, dst_capacity)``.  Each node registers named
-*ports* (mailboxes); the EDR server's ClientListener and ReplicaListener
-threads map to processes blocked on different ports of the same node.
+*ports* (mailboxes); a process reads a port by blocking on it — the EDR
+server's ClientListener is a process blocked on its node's ``"client"``
+port.
+
+Messages no process reads — the solver's per-iteration coordination —
+are *charged* instead (:meth:`Network.charge`): counted exactly like a
+delivered message, their delay paid by the sender's own timeout, but
+never scheduled or queued.
 
 Crashed nodes (see :class:`~repro.net.faults.FaultInjector`) silently drop
 traffic in both directions, which is what lets the ring failure detector
@@ -64,6 +70,9 @@ class Network:
 
     Statistics (message and byte counters, per node and total) feed the
     communication-complexity comparisons between CDPSM, LDDM and DONAR.
+    ``messages_sent`` / ``mb_sent`` / ``sent_by_node`` count every sent
+    or charged message; ``messages_delivered`` counts mailbox deliveries
+    only.
     An optional ``recorder`` (:mod:`repro.obs`) additionally aggregates
     per-message-kind counters (``net.messages`` / ``net.mb``) so traces
     can split solver coordination from heartbeats and data-plane control.
@@ -139,17 +148,34 @@ class Network:
                    self.topology.capacity(msg.dst))
         return prop + msg.size / line
 
+    def charge(self, charges: Iterable[tuple[str, str, float]]) -> None:
+        """Count ``(src, kind, size)`` messages without delivering them.
+
+        The sender-side accounting :meth:`deliver` does, one message at a
+        time in the given order (so ``mb_sent`` sums bit-for-bit as if
+        each had been sent), with no event scheduled and no mailbox
+        touched.  For traffic no process reads; the caller pays the
+        transit delay in its own timeout.
+        """
+        sent = self.sent_by_node
+        rec = self.recorder
+        n = 0
+        mb = self.mb_sent
+        for src, kind, size in charges:
+            n += 1
+            mb += size
+            sent[src] = sent.get(src, 0) + 1
+            if rec.enabled:
+                rec.count("net.messages", kind=kind)
+                rec.count("net.mb", size, kind=kind)
+        self.messages_sent += n
+        self.mb_sent = mb
+
     def deliver(self, msg: Message) -> None:
         """Accept a message for delivery (used by :class:`Endpoint`)."""
         if msg.src == msg.dst:
             raise ValidationError("cannot send a message to self")
-        self.messages_sent += 1
-        self.mb_sent += msg.size
-        self.sent_by_node[msg.src] = self.sent_by_node.get(msg.src, 0) + 1
-        rec = self.recorder
-        if rec.enabled:
-            rec.count("net.messages", kind=msg.kind)
-            rec.count("net.mb", msg.size, kind=msg.kind)
+        self.charge(((msg.src, msg.kind, msg.size),))
         if msg.src in self._crashed:
             return  # sender is dead: message never leaves
         if (msg.src, msg.dst) in self._cut:

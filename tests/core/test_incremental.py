@@ -24,6 +24,7 @@ from repro.core.reference import solve_reference
 from repro.core.lddm import solve_lddm
 from repro.errors import ValidationError
 from tests.core.conftest import random_instance
+from tests.core.test_waterfill import STALLS, sweep_alone
 
 #: Acceptance bound: incremental objective within this relative gap of a
 #: full re-solve of the updated instance.
@@ -232,6 +233,20 @@ class TestFallbacks:
             "c0", float(prob.data.R[0]) + 0.1 * total))
         assert not res.ok and res.reason == "drift"
         assert state.fallbacks == 1
+
+    @pytest.mark.parametrize("masked, tight, clients, seed", STALLS[2:])
+    def test_rows_stalled_on_a_full_column_are_caught(self, masked, tight,
+                                                      clients, seed):
+        # Sweeps that report convergence 0.05 - 15 % above the optimum:
+        # their KKT residual is within tolerance, the dual bound is not.
+        prob = random_instance(seed, n_clients=clients, n_replicas=4,
+                               masked=masked, tight=tight)
+        res, rows = sweep_alone(prob)
+        tokens = [i.to_bytes(4, "little") for i in range(clients)]
+        stalled = IncrementalState(prob.data, tokens, rows)
+        assert stalled.kkt_residual() <= stalled.kkt_rtol
+        assert stalled.stalled()
+        assert not _state_from(prob).stalled()
 
     @pytest.mark.parametrize("reason", ["drift", "capacity", "stale"])
     def test_declined_event_is_still_recorded(self, reason):

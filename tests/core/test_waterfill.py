@@ -2,6 +2,7 @@
 
 * ``certify`` is sound: its dual bound never exceeds the optimum, the
   primal never undercuts it, and an infeasible point never certifies;
+  priced against a background load, it certifies a shard's rows;
 * ``repro.solve(p, "waterfill")`` lands within 1e-6 of the reference
   optimum on random masked / tight instances, including the instances
   where the best-response sweep alone stalls at a wrong answer.
@@ -140,6 +141,30 @@ class TestCertificate:
         assert cert.gap <= 1e-9 and sol.converged
         assert not cert.binding.any()
         np.testing.assert_allclose(sol.loads, [65.0, 25.0, 0.0], atol=1e-6)
+
+    @pytest.mark.parametrize("seed", [3, 11, 27])
+    def test_background_prices_a_shard_at_the_whole_plane(self, seed):
+        """Half the optimum's rows, certified against the other half's
+        loads as background: the primal is the whole plane's, and the
+        bound is still tight, since those rows are optimal given the
+        rest."""
+        problem = random_instance(seed, n_clients=6, n_replicas=4,
+                                  masked=True, tight=True)
+        rows = solve(problem, "waterfill").allocation
+        whole = certify(problem, rows)
+        assert whole.gap <= 1e-9
+        half = problem.data.n_clients // 2
+        shard = ProblemData(
+            demands=problem.data.R[:half], capacities=problem.data.B,
+            prices=problem.data.u, alpha=problem.data.alpha,
+            beta=problem.data.beta, gamma=problem.data.gamma,
+            mask=problem.data.mask[:half])
+        cert = certify(shard, rows[:half],
+                       background=rows[half:].sum(axis=0))
+        assert cert.primal == pytest.approx(whole.primal, rel=1e-12)
+        assert cert.dual_bound <= whole.primal * (1 + 1e-9)
+        assert cert.gap <= 1e-8
+        np.testing.assert_array_equal(cert.binding, whole.binding)
 
     # The benchmark self-test's corrupted allocations, copied.
     DEMANDS = np.array([3.0, 5.0])
